@@ -52,7 +52,8 @@ from repro.core.explorer import (
 )
 from repro.core.scaling import scale_to_standard
 from repro.core.socs import soc_by_number
-from repro.experiments import run_all
+from repro.experiments import (ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS,
+                               run_all)
 from repro.link.channel import (measure_ber, measure_ber_grid,
                                 measure_ber_sweep)
 from repro.link.modulation import BPSK, MQAM, OOK, QPSK
@@ -76,6 +77,9 @@ MIN_RUN_ALL_WARM_SPEEDUP = 2.5
 
 #: Whole-grid Monte-Carlo batching contract.
 MIN_MC_GRID_SPEEDUP = 5.0
+
+#: Every registered driver, paper artifacts then extensions.
+EVERY_DRIVER = ALL_EXPERIMENTS + EXTENSION_EXPERIMENTS
 
 
 def _best_seconds(func, *, repeat: int = 3, number: int = 1) -> float:
@@ -235,17 +239,17 @@ def _bench_run_all(entries: list[dict], tmp_path: Path) -> None:
     warm_dir = tmp_path / "warm"
     before = _best_seconds(
         lambda: run_all(output_dir=serial_dir, seed=2026,
-                        include_extensions=True),
+                        modules=EVERY_DRIVER),
         repeat=1)
     shutdown_pool()  # cold number includes warm-pool startup
     after = _best_seconds(
         lambda: run_all(output_dir=parallel_dir, seed=2026,
-                        include_extensions=True, jobs=jobs),
+                        modules=EVERY_DRIVER, jobs=jobs),
         repeat=1)
     # The pool persisted across the cold run; every worker is now warm.
     warm_after = _best_seconds(
         lambda: run_all(output_dir=warm_dir, seed=2026,
-                        include_extensions=True, jobs=jobs),
+                        modules=EVERY_DRIVER, jobs=jobs),
         repeat=1)
     shutdown_pool()
 

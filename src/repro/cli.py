@@ -4,15 +4,11 @@ Commands:
 
 * ``list`` — list the Table 1 designs.
 * ``evaluate [NAMES...]`` — regenerate paper tables/figures (default all),
-  printing each rendering and writing CSVs + run manifests; ``--jobs N``
-  fans the drivers out to a process pool with identical artifacts;
-  ``--cache`` replays unchanged drivers from the content-addressed
-  result cache (``<output-dir>/.cache``, see :mod:`repro.cache`);
-  ``--dag`` routes ported drivers through their declarative stage graph
-  (:mod:`repro.dag`) with byte-identical artifacts — ``--jobs`` then
-  parallelizes graph nodes and ``--cache`` becomes stage-granular.
-* ``dag show EXPERIMENT`` — print one experiment's declarative stage
-  graph: nodes, dataflow, dependencies, per-node policy (docs/DAG.md).
+  printing each rendering and writing CSVs + run manifests through
+  :func:`repro.experiments.run_all`; ``--jobs N`` fans two or more
+  drivers out to a process pool with identical artifacts; ``--cache``
+  replays unchanged drivers from the content-addressed result cache
+  (``<output-dir>/.cache``, see :mod:`repro.cache`).
 * ``fleet`` — run the population-scale closed-loop fleet
   (:mod:`repro.fleet`): vectorized cohorts with per-cohort decoder
   family, link loss, and tuning drift, written as the cohort dashboard
@@ -26,7 +22,8 @@ Commands:
 * ``validate`` — score every machine-checkable paper claim against the
   regenerated results (exit code 0 when all pass).
 * ``profile EXPERIMENT`` — run one experiment (or ``all``, optionally
-  with ``--jobs``) under the span tracer and print the nested span tree
+  with ``--jobs``) through the same driver loop under the span tracer,
+  writing its CSVs under ``--output-dir``, and print the nested span tree
   plus the top-N hotspots; worker-process spans are merged into the tree.
 * ``analyze`` — run the AST invariant linter (:mod:`repro.analysis`)
   over ``src/`` and ``tests/``; non-zero exit on findings not covered by
@@ -56,8 +53,8 @@ rows instead of killing the run).
 Global observability flags (valid after any subcommand):
 
 * ``--trace`` — record spans and write a JSON trace
-  (``<output-dir>/trace.json`` for ``evaluate``, ``results/trace.json``
-  otherwise).
+  (``<output-dir>/trace.json`` for commands that take ``--output-dir``,
+  ``results/trace.json`` otherwise).
 * ``--metrics`` — collect counters/gauges/histograms and print the
   snapshot after the command finishes.
 * ``--events`` — record the deterministic run timeline and write it as
@@ -84,8 +81,8 @@ from repro.experiments import (
     experiment_name,
     is_recorded_failure,
     render_result,
+    run_all,
     run_module,
-    run_module_resilient,
 )
 from repro.experiments.report import DEFAULT_OUTPUT_DIR, format_table
 from repro.thermal.budget import assess as thermal_assess
@@ -106,6 +103,18 @@ def _jobs_error(jobs: int) -> bool:
               file=sys.stderr)
         return True
     return False
+
+
+def _output_dir_ok(command: str, output_dir: str) -> bool:
+    """Create ``output_dir`` before any work runs; on failure print a
+    one-line error and return False."""
+    try:
+        Path(output_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as error:
+        print(f"{command}: cannot create output directory {output_dir}: "
+              f"{error.strerror or error}", file=sys.stderr)
+        return False
+    return True
 
 
 def _print_cache_summary(results: list) -> None:
@@ -150,18 +159,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                   f"available: {sorted(known)}", file=sys.stderr)
             return 2
     default = {experiment_name(module) for module in ALL_EXPERIMENTS}
-    selected = [(name, module) for name, module in known.items()
-                if (name in wanted if wanted else name in default)]
+    modules = tuple(module for name, module in known.items()
+                    if (name in wanted if wanted else name in default))
     if _jobs_error(args.jobs):
         return 2
     if args.max_retries < 0:
         print("--max-retries must be non-negative", file=sys.stderr)
         return 2
-    fault_plan = None
-    injector = None
-    max_retries = args.max_retries
-    backoff_s = 0.25
-    timeout_s = None
+    fault_plan = injector = None
     if args.fault_plan:
         from repro.fault import FaultInjector, FaultPlan
         try:
@@ -170,126 +175,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             print(f"evaluate: bad fault plan: {error}", file=sys.stderr)
             return 2
         injector = FaultInjector(fault_plan)
-        max_retries = fault_plan.retry.max_retries
-        backoff_s = fault_plan.retry.backoff_s
-        timeout_s = fault_plan.retry.timeout_s
-    if args.dag:
-        return _evaluate_dag(args, selected, fault_plan, injector,
-                             max_retries, backoff_s, timeout_s)
-    if args.jobs != 1 and len(selected) > 1:
-        from repro.perf import run_parallel
-        results = run_parallel([module for _, module in selected],
-                               output_dir=args.output_dir, jobs=args.jobs,
-                               seed=args.seed, cache=args.cache,
-                               max_retries=max_retries,
-                               backoff_s=backoff_s, timeout_s=timeout_s,
-                               fault_plan=fault_plan, injector=injector)
-        if not args.quiet:
-            for (_, module), result in zip(selected, results):
-                print(f"== {result.title} ==")
-                print(render_result(module, result))
-                print()
-        if args.cache:
-            _print_cache_summary(results)
-        if injector is not None:
-            _print_fault_summary(injector, results, args.output_dir)
-        return 0
-    runner = None
-    if args.cache:
-        from repro.cache import run_and_save_cached, store_for
-        store = store_for(args.output_dir)
-
-        def runner(module, seed=None):
-            return run_and_save_cached(module, args.output_dir,
-                                       seed=seed, store=store)
-    results = []
-    for _, module in selected:
-        result = run_module_resilient(
-            module, seed=args.seed, max_retries=max_retries,
-            backoff_s=backoff_s, fault_plan=fault_plan,
-            injector=injector, runner=runner)
-        if not args.cache or is_recorded_failure(result):
-            result.save_csv(args.output_dir)
-        elif result.fault_info is not None:
-            result.save_manifest(args.output_dir)
-        results.append(result)
-        if not args.quiet:
-            print(f"== {result.title} ==")
-            print(render_result(module, result))
-            print()
+    if not _output_dir_ok("evaluate", args.output_dir):
+        return 2
+    results = run_all(output_dir=args.output_dir, verbose=not args.quiet,
+                      modules=modules, seed=args.seed, jobs=args.jobs,
+                      cache=args.cache, max_retries=args.max_retries,
+                      fault_plan=fault_plan, injector=injector)
     if args.cache:
         _print_cache_summary(results)
     if injector is not None:
         _print_fault_summary(injector, results, args.output_dir)
-    return 0
-
-
-def _evaluate_dag(args: argparse.Namespace, selected: list,
-                  fault_plan, injector, max_retries: int,
-                  backoff_s: float, timeout_s: float | None) -> int:
-    """``evaluate --dag``: run each driver through its declarative
-    graph (``--jobs`` = node-level parallelism; artifacts byte-identical
-    to the imperative path)."""
-    from repro.dag import has_graph, run_module_dag
-
-    store = None
-    if args.cache:
-        from repro.cache import store_for
-        store = store_for(args.output_dir)
-
-    def dag_runner(module, seed=None):
-        if not has_graph(module):
-            # Drivers without graphs keep their imperative path.
-            return run_module(module, seed=seed)
-        return run_module_dag(module, seed=seed, jobs=args.jobs,
-                              store=store, fault_plan=fault_plan,
-                              injector=injector,
-                              max_retries=max_retries,
-                              backoff_s=backoff_s, timeout_s=timeout_s)
-
-    results = []
-    for _, module in selected:
-        # Node-level retries happen inside the scheduler; a node that
-        # exhausts its budget raises DagNodeError, which degrades here
-        # (max_retries=0: no whole-graph reruns) to the recorded-failure
-        # row naming the failed node.  The injector is not passed down —
-        # the scheduler already accounts the failure.
-        result = run_module_resilient(module, seed=args.seed,
-                                      max_retries=0,
-                                      backoff_s=backoff_s,
-                                      runner=dag_runner)
-        result.save_csv(args.output_dir)
-        results.append(result)
-        if not args.quiet:
-            print(f"== {result.title} ==")
-            print(render_result(module, result))
-            print()
-    if injector is not None:
-        _print_fault_summary(injector, results, args.output_dir)
-    return 0
-
-
-def _cmd_dag_show(args: argparse.Namespace) -> int:
-    from repro.dag import GraphError, graph_for, has_graph
-
-    known = _known_experiments()
-    graphed = sorted(name for name, module in known.items()
-                     if has_graph(module))
-    if args.experiment not in known:
-        print(f"unknown experiment {args.experiment!r}; "
-              f"graphs available: {graphed}", file=sys.stderr)
-        return 2
-    module = known[args.experiment]
-    if not has_graph(module):
-        print(f"{args.experiment} has no experiment graph (imperative "
-              f"driver); graphs available: {graphed}", file=sys.stderr)
-        return 2
-    try:
-        graph = graph_for(module)
-    except GraphError as error:
-        print(f"dag: {error}", file=sys.stderr)
-        return 2
-    print(graph.render())
     return 0
 
 
@@ -372,7 +267,7 @@ def _cmd_assess(args: argparse.Namespace) -> int:
     try:
         record = soc_by_number(args.soc)
     except KeyError as error:
-        print(error, file=sys.stderr)
+        print(error.args[0], file=sys.stderr)
         return 2
     soc = scale_to_standard(record)
     print(f"{soc.name} scaled to {soc.n_channels} channels:")
@@ -388,14 +283,18 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     try:
         record = soc_by_number(args.soc)
     except KeyError as error:
-        print(error, file=sys.stderr)
+        print(error.args[0], file=sys.stderr)
         return 2
     if not record.wireless:
         print(f"{record.name} is wired; the strategy exploration targets "
               "wireless designs (SoCs 1-8)", file=sys.stderr)
         return 2
     soc = scale_to_standard(record)
-    report = explore(soc, target_channels=args.channels)
+    try:
+        report = explore(soc, target_channels=args.channels)
+    except ValueError as error:
+        print(f"explore: {error}", file=sys.stderr)
+        return 2
     rows = [{"strategy": o.strategy,
              "max_channels": o.max_channels,
              f"ratio@{args.channels}": o.power_ratio_at_target,
@@ -417,15 +316,19 @@ def _cmd_roadmap(args: argparse.Namespace) -> int:
     try:
         record = soc_by_number(args.soc)
     except KeyError as error:
-        print(error, file=sys.stderr)
+        print(error.args[0], file=sys.stderr)
         return 2
     if not record.wireless:
         print(f"{record.name} is wired; roadmap targets wireless designs",
               file=sys.stderr)
         return 2
     from repro.core.roadmap import ChannelRoadmap
+    try:
+        roadmap = ChannelRoadmap(doubling_years=args.doubling_years)
+    except ValueError as error:
+        print(f"roadmap: {error}", file=sys.stderr)
+        return 2
     soc = scale_to_standard(record)
-    roadmap = ChannelRoadmap(doubling_years=args.doubling_years)
     report = explore(soc, target_channels=2048)
     rows = []
     for outcome in report.outcomes:
@@ -457,30 +360,22 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         return 2
     if _jobs_error(args.jobs):
         return 2
+    if not _output_dir_ok("profile", args.output_dir):
+        return 2
     obs.enable_tracing()
     obs.enable_metrics()
-    if args.experiment == "all":
-        from repro.experiments import run_all
-        run_all(output_dir=DEFAULT_OUTPUT_DIR, seed=args.seed,
-                jobs=args.jobs, cache=args.cache)
-        title = f"full evaluation (jobs={args.jobs})"
-    else:
-        runner = None
-        if args.cache:
-            from repro.cache import run_and_save_cached
-
-            def runner(module, seed=None):
-                return run_and_save_cached(module, DEFAULT_OUTPUT_DIR,
-                                           seed=seed)
-        # Resilient path: a driver that dies (or recorded degraded
-        # FAILURE_COLUMNS rows) still profiles — the spans recorded up
-        # to the failure render, and the title reports the degradation
-        # instead of a missing-column crash.
-        result = run_module_resilient(known[args.experiment],
-                                      seed=args.seed, runner=runner)
-        title = result.title
+    modules = (ALL_EXPERIMENTS if args.experiment == "all"
+               else (known[args.experiment],))
+    # A driver that dies (or recorded degraded FAILURE_COLUMNS rows)
+    # still profiles: the spans recorded up to the failure render, and
+    # its failure row prints instead of a missing-column crash.
+    results = run_all(output_dir=args.output_dir, modules=modules,
+                      seed=args.seed, jobs=args.jobs, cache=args.cache)
+    for module, result in zip(modules, results):
         if is_recorded_failure(result) and not args.quiet:
-            print(render_result(known[args.experiment], result))
+            print(render_result(module, result))
+    title = (f"full evaluation (jobs={args.jobs})"
+             if args.experiment == "all" else results[0].title)
     print(f"== profile: {title} ==")
     print()
     print(obs.TRACER.render_tree())
@@ -818,13 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
              "docs/ROBUSTNESS.md) and apply its retry policy; writes "
              "<output-dir>/fault_log.json")
     evaluate.add_argument(
-        "--dag", action="store_true",
-        help="run each driver through its declarative stage graph "
-             "(repro.dag); --jobs then parallelizes independent graph "
-             "nodes instead of whole drivers, and --cache enables "
-             "stage-granular incremental recompute — artifacts are "
-             "byte-identical to the imperative path")
-    evaluate.add_argument(
         "--max-retries", type=int, default=2,
         help="bounded retry budget per driver; a driver that still "
              "fails degrades to a recorded-failure row (overridden by "
@@ -913,6 +801,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache", action=argparse.BooleanOptionalAction, default=False,
         help="run the profiled experiments through the result cache "
              "(cache spans appear in the tree)")
+    profile_cmd.add_argument(
+        "--output-dir", default=str(DEFAULT_OUTPUT_DIR),
+        help="destination for the profiled experiments' CSVs and "
+             "manifests")
     profile_cmd.set_defaults(func=_cmd_profile)
 
     analyze_cmd = sub.add_parser(
@@ -966,17 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-bytes", type=int, default=None,
         help="gc: then remove oldest entries until the store fits")
     cache_cmd.set_defaults(func=_cmd_cache)
-
-    dag_cmd = sub.add_parser(
-        "dag",
-        help="inspect declarative experiment graphs (repro.dag)")
-    dag_sub = dag_cmd.add_subparsers(dest="dag_command", required=True)
-    dag_show = dag_sub.add_parser(
-        "show", help="print one experiment's stage graph: nodes, "
-                     "dataflow, dependencies, per-node policy")
-    dag_show.add_argument("experiment",
-                          help="experiment id (e.g. fig7, fleet)")
-    dag_show.set_defaults(func=_cmd_dag_show)
 
     obs_cmd = sub.add_parser(
         "obs",

@@ -1,12 +1,14 @@
 """Per-figure experiment drivers (see DESIGN.md experiment index).
 
 Each module exposes ``run() -> ExperimentResult`` and
-``render(result) -> str``; :func:`run_all` executes the full evaluation
-and writes every CSV under an output directory.  :func:`run_module` is
-the single instrumented entry point both :func:`run_all` and the CLI go
-through: it wraps the driver in an ``experiment.<name>`` span, times it,
-and stamps seed + duration onto the result (which the manifest written
-by ``save_csv`` then records).
+``render(result) -> str``.  :func:`run_all` is the one driver loop (the
+CLI's ``evaluate`` and ``profile`` go through it): it runs a tuple of
+drivers in-process or across the worker pool and writes every CSV under
+an output directory.  :func:`run_module` is the single instrumented
+entry point each driver runs through, in-process or in a pool worker:
+it wraps the driver in an ``experiment.<name>`` span, times it, and
+stamps seed + duration onto the result (which the manifest written by
+``save_csv`` then records).
 """
 
 from __future__ import annotations
@@ -225,7 +227,7 @@ def run_module_resilient(module: ModuleType,
 
 def run_all(output_dir: Path | str = DEFAULT_OUTPUT_DIR,
             verbose: bool = False,
-            include_extensions: bool = False,
+            modules: tuple[ModuleType, ...] = ALL_EXPERIMENTS,
             seed: int | None = None,
             jobs: int = 1,
             cache: bool = False,
@@ -234,18 +236,23 @@ def run_all(output_dir: Path | str = DEFAULT_OUTPUT_DIR,
             timeout_s: float | None = None,
             fault_plan=None,
             injector=None) -> list[ExperimentResult]:
-    """Run every experiment, saving one CSV (+ manifest) per
-    figure/table.
+    """Run drivers, saving one CSV (+ manifest) per figure/table.
+
+    The one driver loop: ``evaluate`` and ``profile`` in the CLI go
+    through here too.
 
     Args:
         output_dir: destination for the CSV artifacts.
         verbose: print each rendering as it completes.
-        include_extensions: also run the extension experiments.
+        modules: the drivers to run, in output order (default: the
+            paper artifacts, :data:`ALL_EXPERIMENTS`).
         seed: RNG seed threaded to stochastic drivers and manifests.
-        jobs: worker processes; above 1 the drivers fan out to a process
-            pool (:func:`repro.perf.run_parallel`) with identical
-            artifacts — per-driver seed derivation keeps the CSVs
-            byte-identical to a serial run of the same seed.
+        jobs: worker processes; above 1 (or 0 = all CPUs) two or more
+            drivers fan out to a process pool
+            (:func:`repro.perf.run_parallel`) with identical artifacts —
+            per-driver seed derivation keeps the CSVs byte-identical to
+            a serial run of the same seed.  A single driver always runs
+            in-process.
         cache: route every driver through the content-addressed cache
             under ``<output_dir>/.cache``
             (:func:`repro.cache.run_and_save_cached`); unchanged
@@ -264,13 +271,11 @@ def run_all(output_dir: Path | str = DEFAULT_OUTPUT_DIR,
             the three arguments above.
         injector: optional :class:`repro.fault.injector.FaultInjector`
             shared across drivers so fault accounting aggregates into
-            one log (the chaos CLI passes one).
+            one log (the CLI passes one and prints its counters).
 
     Returns:
-        The results in paper order (extensions last).
+        The results, in ``modules`` order.
     """
-    modules = ALL_EXPERIMENTS + (EXTENSION_EXPERIMENTS
-                                 if include_extensions else ())
     if fault_plan is not None:
         max_retries = fault_plan.retry.max_retries
         backoff_s = fault_plan.retry.backoff_s
@@ -278,7 +283,7 @@ def run_all(output_dir: Path | str = DEFAULT_OUTPUT_DIR,
         if injector is None:
             from repro.fault.injector import FaultInjector
             injector = FaultInjector(fault_plan)
-    if jobs != 1:
+    if jobs != 1 and len(modules) > 1:
         from repro.perf.parallel import run_parallel
         results = run_parallel(modules, output_dir=output_dir, jobs=jobs,
                                seed=seed, cache=cache,
@@ -287,11 +292,8 @@ def run_all(output_dir: Path | str = DEFAULT_OUTPUT_DIR,
                                fault_plan=fault_plan, injector=injector)
         if verbose:
             for module, result in zip(modules, results):
-                print(f"== {result.title} ==")
-                print(render_result(module, result))
-                print()
+                _print_result(module, result)
         return results
-    results = []
     runner = None
     if cache:
         from repro.cache import run_and_save_cached, store_for
@@ -301,22 +303,26 @@ def run_all(output_dir: Path | str = DEFAULT_OUTPUT_DIR,
                    seed: int | None = None) -> ExperimentResult:
             return run_and_save_cached(module, output_dir, seed=seed,
                                        store=store)
-    with span("experiments.run_all", n_experiments=len(modules)):
-        for module in modules:
-            result = run_module_resilient(
-                module, seed=seed, max_retries=max_retries,
-                backoff_s=backoff_s, fault_plan=fault_plan,
-                injector=injector, runner=runner)
-            if not cache or is_recorded_failure(result):
-                result.save_csv(output_dir)
-            elif result.fault_info is not None:
-                result.save_manifest(output_dir)
-            if verbose:
-                print(f"== {result.title} ==")
-                print(render_result(module, result))
-                print()
-            results.append(result)
+    results = []
+    for module in modules:
+        result = run_module_resilient(
+            module, seed=seed, max_retries=max_retries,
+            backoff_s=backoff_s, fault_plan=fault_plan,
+            injector=injector, runner=runner)
+        if not cache or is_recorded_failure(result):
+            result.save_csv(output_dir)
+        elif result.fault_info is not None:
+            result.save_manifest(output_dir)
+        if verbose:
+            _print_result(module, result)
+        results.append(result)
     return results
+
+
+def _print_result(module: ModuleType, result: ExperimentResult) -> None:
+    print(f"== {result.title} ==")
+    print(render_result(module, result))
+    print()
 
 
 __all__ = ["ALL_EXPERIMENTS", "EXTENSION_EXPERIMENTS", "FAILURE_COLUMNS",

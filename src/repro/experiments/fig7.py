@@ -6,10 +6,7 @@ the SoCs whose transceivers are realizable at today's ~15 % efficiency
 standard at the 1024-channel anchor (the consistent set the paper's
 multipliers — ~2x at 20 %, ~4x at 100 % — refer to).
 
-The experiment is written as stage functions composed two ways: the
-imperative :func:`run` chains them directly (the parity oracle), and
-:func:`build_graph` declares them as a :class:`repro.dag.ExperimentGraph`
-for the DAG scheduler.  Both paths produce byte-identical artifacts.
+The experiment is written as stage functions that :func:`run` chains.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from repro.core.qam_design import (
 )
 from repro.core.scaling import scale_to_standard
 from repro.core.socs import wireless_socs
-from repro.dag import ExperimentGraph, Stage
 from repro.experiments.base import ExperimentResult, mean_of
 from repro.experiments.report import ascii_plot, format_table
 from repro.link.budget import LinkBudget
@@ -108,23 +104,6 @@ def stage_report(rows: list, realizable: list, max_at_20: dict,
         title="Fig. 7: minimum QAM efficiency vs channel count",
         rows=rows, summary=summary, columns=COLUMNS)
     return {"result": result}
-
-
-def build_graph() -> ExperimentGraph:
-    """The Fig. 7 experiment as a declarative stage DAG (sweep and
-    multipliers are independent and may run in parallel)."""
-    return ExperimentGraph(name="fig7", params={"budget": None}, stages=(
-        Stage("setup", stage_setup, inputs=("budget",),
-              outputs=("link_budget", "socs")),
-        Stage("sweep", stage_sweep, inputs=("socs", "link_budget"),
-              outputs=("rows",)),
-        Stage("multipliers", stage_multipliers,
-              inputs=("socs", "link_budget"),
-              outputs=("realizable", "max_at_20", "max_at_100")),
-        Stage("report", stage_report,
-              inputs=("rows", "realizable", "max_at_20", "max_at_100"),
-              outputs=("result",)),
-    ))
 
 
 def run(budget: LinkBudget | None = None) -> ExperimentResult:

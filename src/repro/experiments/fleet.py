@@ -9,18 +9,14 @@ p50/p95/p99 — instead of single-session CSVs.  Every cohort stream
 derives from the run seed and the cohort name, so the fleet replays
 byte-identically, serial or sharded across the warm worker pool.
 
-Written as stage functions composed two ways: the imperative
-:func:`run_spec` chains them (the parity oracle, also used by the
-``repro fleet`` CLI) and :func:`build_graph` declares the
-spec -> simulate -> report chain for the DAG scheduler, with the run
-seed flowing in through the ``base_seed`` graph parameter.
+Written as simulate and report stage functions that :func:`run_spec`
+chains; the ``repro fleet`` CLI calls :func:`run_spec` directly.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.dag import ExperimentGraph, Stage
 from repro.experiments.base import ExperimentResult
 from repro.experiments.report import ascii_bars, format_table
 from repro.fleet import CohortSpec, FleetSpec, run_fleet
@@ -78,11 +74,6 @@ def default_fleet(sessions: int | None = None,
     return FleetSpec(cohorts)
 
 
-def stage_spec() -> dict[str, Any]:
-    """Materialize the default evaluation fleet."""
-    return {"fleet": default_fleet()}
-
-
 def stage_simulate(fleet: FleetSpec, base_seed: int | None,
                    jobs: int = 1) -> dict[str, Any]:
     """Run every cohort and reduce each to its dashboard row."""
@@ -117,19 +108,6 @@ def stage_report(fleet: FleetSpec, cohort_rows: list) -> dict[str, Any]:
         title="Extension: population-scale closed-loop fleet dashboard",
         rows=rows, summary=summary, columns=COLUMNS)
     return {"result": result}
-
-
-def build_graph() -> ExperimentGraph:
-    """The fleet as a spec -> simulate -> report chain; the scheduler
-    fills ``base_seed`` with the derived driver seed."""
-    return ExperimentGraph(name="fleet", params={"base_seed": None},
-                           stages=(
-        Stage("spec", stage_spec, outputs=("fleet",)),
-        Stage("simulate", stage_simulate,
-              inputs=("fleet", "base_seed"), outputs=("cohort_rows",)),
-        Stage("report", stage_report, inputs=("fleet", "cohort_rows"),
-              outputs=("result",)),
-    ))
 
 
 def run_spec(fleet: FleetSpec, base_seed: int | None = None,

@@ -6,10 +6,8 @@ strategy the framework models (raw OOK, QAM, compression, event streaming,
 on-implant DNNs, partitioning, multi-implant tiling), plus which strategy
 wins at the 2048-channel short-term target.
 
-Written as stage functions composed two ways: the imperative :func:`run`
-chains them (the parity oracle) and :func:`build_graph` declares one
-explore node per SoC, so the DAG scheduler can fan the per-SoC
-exploration across the warm worker pool.
+Written as stage functions that :func:`run` chains: one setup stage,
+one explore stage per SoC, and a report stage.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from repro.core.explorer import explore
 from repro.core.multi_implant import max_implants
 from repro.core.scaling import scale_to_standard
 from repro.core.socs import wireless_socs
-from repro.dag import ExperimentGraph, Stage
 from repro.experiments.base import ExperimentResult
 from repro.experiments.report import format_table
 from repro.obs.metrics import set_gauge
@@ -84,20 +81,6 @@ def stage_report(**explored: dict) -> dict[str, Any]:
         title="Extension: strategy frontier across wireless SoCs",
         rows=rows, summary=summary, columns=COLUMNS)
     return {"result": result}
-
-
-def build_graph() -> ExperimentGraph:
-    """The frontier as a fan-out/fan-in DAG: one explore node per SoC."""
-    n = len(wireless_socs())
-    stages = [Stage("socs", stage_socs, outputs=("socs",))]
-    for i in range(n):
-        stages.append(Stage(f"explore_{i}", stage_explore,
-                            inputs=("socs",), consts={"index": i},
-                            outputs=(f"explored_{i}",)))
-    stages.append(Stage("report", stage_report,
-                        inputs=tuple(f"explored_{i}" for i in range(n)),
-                        outputs=("result",)))
-    return ExperimentGraph(name="frontier", stages=tuple(stages))
 
 
 def run() -> ExperimentResult:

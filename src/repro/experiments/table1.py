@@ -1,8 +1,6 @@
 """Table 1 reproduction: the published implanted SoC designs.
 
-Written as stage functions composed two ways: the imperative :func:`run`
-chains them (the parity oracle) and :func:`build_graph` declares the
-same three stages for the DAG scheduler.
+Written as three stage functions that :func:`run` chains.
 """
 
 from __future__ import annotations
@@ -10,7 +8,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.socs import TABLE1
-from repro.dag import ExperimentGraph, Stage
 from repro.experiments.base import ExperimentResult
 from repro.experiments.report import format_table
 from repro.obs.metrics import set_gauge
@@ -63,17 +60,6 @@ def stage_report(rows: list, summary: dict) -> dict[str, Any]:
                               rows=rows, summary=summary,
                               columns=COLUMNS)
     return {"result": result}
-
-
-def build_graph() -> ExperimentGraph:
-    """Table 1 as a three-stage chain."""
-    return ExperimentGraph(name="table1", stages=(
-        Stage("rows", stage_rows, outputs=("rows",)),
-        Stage("summary", stage_summary, inputs=("rows",),
-              outputs=("summary",)),
-        Stage("report", stage_report, inputs=("rows", "summary"),
-              outputs=("result",)),
-    ))
 
 
 def run() -> ExperimentResult:

@@ -17,9 +17,10 @@ wall-clock attribution.
 
 Engine-scope events (driver tag ``""``) are excluded from diffs by
 default: the serial and parallel engines legitimately record different
-spans (``experiments.run_all`` vs ``experiments.run_parallel``), and
-including them would report spurious deltas between runs whose actual
-experiment work is identical.
+ones (the parallel engine's ``experiments.run_parallel`` span and
+transport records have no serial counterpart), and including them
+would report spurious deltas between runs whose actual experiment work
+is identical.
 """
 
 from __future__ import annotations

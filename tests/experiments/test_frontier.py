@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments import EXTENSION_EXPERIMENTS, frontier, run_all
+from repro.experiments import (ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS,
+                               frontier, run_all)
 from repro.experiments.base import ExperimentResult, filter_finite, mean_of
 
 
@@ -36,7 +37,8 @@ class TestFrontierExperiment:
             assert soc in text
 
     def test_run_all_includes_extensions_when_asked(self, tmp_path):
-        results = run_all(output_dir=tmp_path, include_extensions=True)
+        results = run_all(output_dir=tmp_path,
+                          modules=ALL_EXPERIMENTS + EXTENSION_EXPERIMENTS)
         names = [r.name for r in results]
         assert names[-1] == "frontier"
         assert (tmp_path / "frontier.csv").exists()

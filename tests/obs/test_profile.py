@@ -67,7 +67,8 @@ class TestEndToEnd:
 
 
 class TestProfileCli:
-    def test_profile_of_degraded_failure_run(self, monkeypatch, capsys):
+    def test_profile_of_degraded_failure_run(self, monkeypatch, capsys,
+                                             tmp_path):
         """``python -m repro profile`` must render a profile — not
         crash — when the driver dies and only FAILURE_COLUMNS rows are
         recorded (ISSUE 6 satellite)."""
@@ -78,15 +79,17 @@ class TestProfileCli:
             raise RuntimeError("injected driver failure")
 
         monkeypatch.setattr(fig8, "run", explode)
-        assert main(["profile", "fig8"]) == 0
+        assert main(["profile", "fig8", "--output-dir",
+                     str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "== profile:" in out
         assert "failed" in out.lower() or "error" in out.lower()
 
-    def test_profile_of_healthy_run(self, capsys):
+    def test_profile_of_healthy_run(self, capsys, tmp_path):
         from repro.cli import main
 
-        assert main(["profile", "fig8", "--top", "3"]) == 0
+        assert main(["profile", "fig8", "--top", "3", "--output-dir",
+                     str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "experiment.fig8" in out
         assert "hotspots" in out

@@ -22,6 +22,9 @@ class TestAssess:
 
     def test_assess_unknown_soc(self, capsys):
         assert main(["assess", "42"]) == 2
+        # The message alone, not the KeyError repr in quotes.
+        assert capsys.readouterr().err == (
+            "no SoC numbered 42; Table 1 covers 1-11\n")
 
 
 class TestEvaluate:
@@ -35,6 +38,18 @@ class TestEvaluate:
     def test_unknown_experiment(self, capsys, tmp_path):
         assert main(["evaluate", "fig99",
                      "--output-dir", str(tmp_path)]) == 2
+        # An output directory that cannot be created fails before any
+        # driver runs (no rendering printed), in one line.
+        capsys.readouterr()
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["evaluate", "fig9",
+                     "--output-dir", str(blocker / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "evaluate: cannot create output directory")
+        assert captured.err.count("\n") == 1
 
     def test_multiple_experiments(self, capsys, tmp_path):
         assert main(["evaluate", "table1", "fig4",
@@ -67,6 +82,10 @@ class TestExplore:
 
     def test_explore_wired_rejected(self, capsys):
         assert main(["explore", "10"]) == 2
+        capsys.readouterr()
+        assert main(["explore", "3", "--channels", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "explore: target must be at least the 1024-ch standard\n")
 
     def test_explore_unknown(self, capsys):
         assert main(["explore", "42"]) == 2
@@ -80,6 +99,10 @@ class TestRoadmap:
 
     def test_roadmap_wired_rejected(self, capsys):
         assert main(["roadmap", "9"]) == 2
+        capsys.readouterr()
+        assert main(["roadmap", "3", "--doubling-years", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "roadmap: doubling period must be positive\n")
 
     def test_roadmap_unknown(self, capsys):
         assert main(["roadmap", "42"]) == 2
@@ -162,8 +185,10 @@ class TestObservabilityFlags:
 
 
 class TestProfile:
-    def test_profile_prints_span_tree_and_hotspots(self, capsys):
-        assert main(["profile", "fig8"]) == 0
+    def test_profile_prints_span_tree_and_hotspots(self, capsys,
+                                                   tmp_path):
+        assert main(["profile", "fig8", "--output-dir",
+                     str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "experiment.fig8" in out
         assert "fig8.worked_examples" in out
@@ -171,12 +196,21 @@ class TestProfile:
         # Durations are rendered with a unit suffix.
         assert " ms" in out or " us" in out or " s" in out
 
-    def test_profile_unknown_experiment(self, capsys):
+    def test_profile_unknown_experiment(self, capsys, tmp_path):
         assert main(["profile", "fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["profile", "fig8",
+                     "--output-dir", str(blocker / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "profile: cannot create output directory")
 
-    def test_profile_extension_experiment_is_known(self, capsys):
-        assert main(["profile", "fig8", "--top", "3"]) == 0
+    def test_profile_extension_experiment_is_known(self, capsys,
+                                                   tmp_path):
+        assert main(["profile", "frontier", "--top", "3",
+                     "--output-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "frontier.csv").exists()
 
 
 class TestParser:

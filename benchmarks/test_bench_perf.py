@@ -272,13 +272,6 @@ def _bench_run_all(entries: list[dict], tmp_path: Path) -> None:
     entries.append(_entry("run_all_warm_jobs4", before, warm_after,
                           jobs=jobs, cpus=cpus,
                           artifacts_identical=True, gated=gated))
-    if not QUICK and cpus >= 2:
-        assert before / after >= MIN_RUN_ALL_SPEEDUP, (
-            f"run_all(jobs={jobs}) only {before / after:.2f}x "
-            f"on {cpus} CPUs")
-        assert before / warm_after >= MIN_RUN_ALL_WARM_SPEEDUP, (
-            f"warm run_all(jobs={jobs}) only "
-            f"{before / warm_after:.2f}x on {cpus} CPUs")
     shutil.rmtree(serial_dir, ignore_errors=True)
     shutil.rmtree(parallel_dir, ignore_errors=True)
     shutil.rmtree(warm_dir, ignore_errors=True)
@@ -324,3 +317,15 @@ def test_bench_perf_kernels(tmp_path):
              f"{e['after_s'] * 1e3:9.2f} ms  ({e['speedup']:6.1f}x)"
              for e in entries]
     print("\n" + "\n".join(lines))
+
+    # The parallel contracts are checked after the numbers are recorded,
+    # so a host that misses them still leaves its measurement behind.
+    speedups = {e["name"]: e["speedup"] for e in entries}
+    cpus = payload["cpus"]
+    if not QUICK and cpus >= 2:
+        assert speedups["run_all_jobs4"] >= MIN_RUN_ALL_SPEEDUP, (
+            f"run_all(jobs=4) only {speedups['run_all_jobs4']:.2f}x "
+            f"on {cpus} CPUs")
+        assert speedups["run_all_warm_jobs4"] >= MIN_RUN_ALL_WARM_SPEEDUP, (
+            f"warm run_all(jobs=4) only "
+            f"{speedups['run_all_warm_jobs4']:.2f}x on {cpus} CPUs")

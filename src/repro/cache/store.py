@@ -32,6 +32,7 @@ import time
 from pathlib import Path
 from typing import Any, Iterator
 
+from repro.fileio import atomic_write
 from repro.obs.metrics import inc
 from repro.obs.trace import span
 
@@ -165,9 +166,8 @@ class CacheStore:
             with self._lock():
                 path.parent.mkdir(parents=True, exist_ok=True)
                 self._sweep_dir(path.parent)
-                tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-                tmp.write_text(text, encoding="utf-8")
-                os.replace(tmp, path)
+                with atomic_write(path, encoding="utf-8") as handle:
+                    handle.write(text)
         inc("cache.puts")
         inc(f"cache.{kind}.puts")
         return path

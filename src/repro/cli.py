@@ -85,6 +85,7 @@ from repro.experiments import (
     run_module,
 )
 from repro.experiments.report import DEFAULT_OUTPUT_DIR, format_table
+from repro.perf.pool import shutdown_pool
 from repro.thermal.budget import assess as thermal_assess
 from repro.units import to_mbps, to_mm2, to_mw
 
@@ -1016,6 +1017,12 @@ def main(argv: list[str] | None = None) -> int:
             print("-- metrics --")
             print(obs.REGISTRY.render())
         return code
+    except KeyboardInterrupt:
+        # Artifacts are published atomically, so an interrupt leaves no
+        # partial file; stop the warm workers before reporting.
+        shutdown_pool()
+        print("interrupted", file=sys.stderr)
+        return 130
     finally:
         obs.disable_all()
         obs.reset_all()

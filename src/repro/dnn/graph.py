@@ -14,10 +14,12 @@ prefix scan for sequential stacks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.dnn.network import Network
+
+if TYPE_CHECKING:  # networkx loads when a graph is first built or cut
+    import networkx as nx
 
 #: Node ids for the synthetic endpoints.
 SOURCE = "source"
@@ -32,6 +34,8 @@ def build_dataflow_graph(network: Network) -> nx.DiGraph:
     ``sink`` (the transmitter).  Edges carry ``values`` — the activation
     count that would cross an implant/wearable boundary cutting them.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     profiles = network.mac_profiles()
     sizes = network.compute_layer_output_values()
@@ -80,6 +84,8 @@ def enumerate_cuts(graph: nx.DiGraph) -> list[GraphCut]:
     the class of graphs we build (series chains, and small fan-out
     blocks) is tractable and exact.
     """
+    import networkx as nx
+
     order = list(nx.topological_sort(graph))
     cuts = []
     seen: set[frozenset[str]] = set()

@@ -8,6 +8,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.experiments.report import DEFAULT_OUTPUT_DIR, write_csv
+from repro.fileio import atomic_write
 from repro.obs.manifest import build_manifest, write_manifest
 
 
@@ -72,7 +73,7 @@ class ExperimentResult:
         path = Path(output_dir) / f"{self.name}.csv"
         if self.cached_csv_text is not None:
             path.parent.mkdir(parents=True, exist_ok=True)
-            with path.open("w", newline="", encoding="utf-8") as handle:
+            with atomic_write(path, newline="", encoding="utf-8") as handle:
                 handle.write(self.cached_csv_text)
         else:
             path = write_csv(path, self.rows,

@@ -12,6 +12,8 @@ import math
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from repro.fileio import atomic_write
+
 #: Default output directory for experiment artifacts.
 DEFAULT_OUTPUT_DIR = Path("results")
 
@@ -132,19 +134,18 @@ def write_csv(path: Path | str, rows: Sequence[Mapping[str, object]],
               columns: Sequence[str] | None = None) -> Path:
     """Write dict rows to a CSV file, creating parent directories.
 
+    The file appears only once complete (:func:`repro.fileio.atomic_write`).
+
     Returns:
         The resolved output path.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if not rows:
-        path.write_text("")
-        return path
-    columns = list(columns or rows[0].keys())
-    with path.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns,
-                                extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    with atomic_write(path, newline="") as handle:
+        if rows:
+            columns = list(columns or rows[0].keys())
+            writer = csv.DictWriter(handle, fieldnames=columns,
+                                    extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
     return path

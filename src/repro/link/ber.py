@@ -22,15 +22,27 @@ from __future__ import annotations
 
 import math
 
-from scipy.optimize import brentq
-from scipy.special import erfc
-
 from repro.obs.metrics import inc
+
+
+def _erfc(x: float) -> float:
+    """scipy's ``erfc``, imported on first call.
+
+    Importing scipy.special costs ~0.1 s, which commands that never
+    evaluate a BER curve should not pay.  The first call rebinds this
+    module global to the scipy ufunc itself, so every later
+    :func:`q_function` call is one global lookup: an import inside
+    ``q_function`` would cost ~1 us per call on the Eb/N0 search path.
+    """
+    global _erfc
+    from scipy.special import erfc
+    _erfc = erfc
+    return erfc(x)
 
 
 def q_function(x: float) -> float:
     """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
-    return 0.5 * erfc(x / math.sqrt(2.0))
+    return 0.5 * _erfc(x / math.sqrt(2.0))
 
 
 def ber_bpsk(ebn0_linear: float) -> float:
@@ -97,6 +109,8 @@ def required_ebn0(target_ber: float,
         curve = ber_ook
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
+
+    from scipy.optimize import brentq
 
     inc("link.ebn0_inversions")
     lo, hi = 1e-6, 1e-6

@@ -46,6 +46,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+from repro.fileio import atomic_write
+
 __all__ = ["Event", "EventLog", "EVENTS", "emit", "enable", "disable",
            "events_enabled", "driver_scope", "current_driver",
            "ENGINE_SCOPE"]
@@ -166,10 +168,12 @@ class EventLog:
         return "\n".join(lines) + "\n" if lines else ""
 
     def write_jsonl(self, path: Path | str) -> Path:
-        """Write the timeline to ``path`` and return it."""
+        """Write the timeline to ``path`` and return it; the file
+        appears only once complete."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_jsonl(), encoding="utf-8")
+        with atomic_write(path, encoding="utf-8") as handle:
+            handle.write(self.to_jsonl())
         return path
 
     def adopt(self, records: Iterable[dict[str, Any]]) -> int:

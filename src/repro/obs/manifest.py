@@ -23,6 +23,8 @@ import time
 from pathlib import Path
 from typing import Any
 
+from repro.fileio import atomic_write
+
 __all__ = ["build_manifest", "current_seed", "environment_info",
            "git_sha", "peak_rss_bytes", "seeded_rng", "set_run_seed",
            "write_manifest"]
@@ -125,9 +127,11 @@ def build_manifest(name: str,
 
 
 def write_manifest(path: Path | str, manifest: dict[str, Any]) -> Path:
-    """Write a manifest dict as JSON, creating parent directories."""
+    """Write a manifest dict as JSON, creating parent directories; the
+    file appears only once complete."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, indent=2, default=str,
-                               sort_keys=True) + "\n")
+    with atomic_write(path) as handle:
+        handle.write(json.dumps(manifest, indent=2, default=str,
+                                sort_keys=True) + "\n")
     return path

@@ -32,6 +32,7 @@ from __future__ import annotations
 import atexit
 import os
 import secrets
+import signal
 import time
 from collections import deque
 from multiprocessing import connection
@@ -141,7 +142,13 @@ def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
 
 
 def _worker_main(child_conn, parent_conn=None) -> None:
-    """Warm-worker serve loop: handle tasks until sentinel or EOF."""
+    """Warm-worker serve loop: handle tasks until sentinel or EOF.
+
+    Workers ignore SIGINT: a terminal's Ctrl-C reaches the whole process
+    group, and the parent, which owns the interrupt, stops its workers
+    through :meth:`WarmPool.shutdown`.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     if parent_conn is not None:
         parent_conn.close()  # let the parent's EOF detection work
     while True:

@@ -10,7 +10,6 @@ applied with zero-phase filtering so decoders see no group delay.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sp_signal
 
 
 def bandpass(data: np.ndarray, low_hz: float, high_hz: float,
@@ -31,6 +30,8 @@ def bandpass(data: np.ndarray, low_hz: float, high_hz: float,
         raise ValueError(
             f"need 0 < low ({low_hz}) < high ({high_hz}) < nyquist "
             f"({nyquist})")
+    from scipy import signal as sp_signal
+
     sos = sp_signal.butter(order, [low_hz / nyquist, high_hz / nyquist],
                            btype="band", output="sos")
     return sp_signal.sosfiltfilt(sos, np.asarray(data, dtype=float),
@@ -49,6 +50,8 @@ def notch(data: np.ndarray, freq_hz: float, sampling_rate_hz: float,
         raise ValueError(f"notch frequency must lie in (0, {nyquist})")
     if quality <= 0:
         raise ValueError("quality factor must be positive")
+    from scipy import signal as sp_signal
+
     b, a = sp_signal.iirnotch(freq_hz / nyquist, quality)
     return sp_signal.filtfilt(b, a, np.asarray(data, dtype=float),
                               axis=-1)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 #: The canonical ECoG analysis bands [Hz].
 CANONICAL_BANDS: dict[str, tuple[float, float]] = {
@@ -46,6 +45,8 @@ def welch_psd(data: np.ndarray, sampling_rate_hz: float,
         raise ValueError("segment too short for a meaningful PSD")
     if data.shape[-1] < nperseg:
         raise ValueError("data shorter than one Welch segment")
+    from scipy import signal as sp_signal
+
     freqs, psd = sp_signal.welch(data, fs=sampling_rate_hz,
                                  nperseg=nperseg, axis=-1)
     return freqs, psd

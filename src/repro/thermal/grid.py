@@ -22,14 +22,16 @@ map — close to 1 means the paper's assumption holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix, lil_matrix
-from scipy.sparse.linalg import spsolve
 
 from repro.cache.stages import cached_stage
 from repro.thermal.model import TissueThermalModel
 from repro.units import mm
+
+if TYPE_CHECKING:  # scipy.sparse loads on the first solve, not on import
+    from scipy.sparse import csr_matrix
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,8 @@ class ChipThermalGrid:
         per-neighbour conductances in the reference's left/right/up/down
         order so the float sums match bit for bit.
         """
+        from scipy.sparse import csr_matrix
+
         gx, gy, g_tissue = self._conductances()
         n = self.nx * self.ny
         cells = np.arange(n, dtype=np.int64)
@@ -117,6 +121,8 @@ class ChipThermalGrid:
                             ) -> tuple[csr_matrix, np.ndarray]:
         """Original double-loop assembly, kept as the parity oracle for
         :meth:`_assemble` (``tests/thermal/test_grid.py``)."""
+        from scipy.sparse import lil_matrix
+
         gx, gy, g_tissue = self._conductances()
         n = self.nx * self.ny
 
@@ -162,6 +168,8 @@ class ChipThermalGrid:
                 f"power map must be ({self.ny}, {self.nx})")
         if np.any(power_map_w < 0):
             raise ValueError("power must be non-negative")
+
+        from scipy.sparse.linalg import spsolve
 
         matrix, rhs = self._assemble(power_map_w)
         solution = spsolve(matrix, rhs)

@@ -503,6 +503,11 @@ def _dump_graph(args: argparse.Namespace, project) -> int:
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.cache import store_for
 
+    for flag, value in (("--max-age-days", args.max_age_days),
+                        ("--max-bytes", args.max_bytes)):
+        if value is not None and value < 0:
+            print(f"{flag} must be >= 0", file=sys.stderr)
+            return 2
     store = store_for(args.output_dir)
     if args.action == "stats":
         print(json.dumps(store.stats(), indent=2))

@@ -24,7 +24,9 @@ Fault containment, matching the contracts of
   drain), respawns, and reports ``"timeout"``;
 * either way the parent reclaims the dead task's shared-memory segment
   (:func:`repro.perf.shm.reclaim_segment`) — parent-chosen names make
-  quarantine possible without hearing from the worker.
+  quarantine possible without hearing from the worker;
+* a worker whose parent dies exits within :data:`_PARENT_POLL_S`, even
+  mid-task (``tests/fault/test_parent_death.py``).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import atexit
 import os
 import secrets
 import signal
+import threading
 import time
 from collections import deque
 from multiprocessing import connection
@@ -45,6 +48,12 @@ __all__ = ["WarmPool", "PoolTaskError", "PoolTimeout", "get_pool",
 
 #: Exit code of a worker that self-destructs after an injected crash.
 _CRASH_EXIT = 70
+
+#: Exit code of a worker that outlived its parent.
+_ORPHAN_EXIT = 71
+
+#: How often a worker checks that its parent is still alive [s].
+_PARENT_POLL_S = 0.2
 
 #: Test hook (read in the worker, inherited via fork at spawn time):
 #: name a driver here and the worker running it dies *after* writing its
@@ -141,14 +150,31 @@ def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
                 "error": _describe(error), "exit": exit_after}
 
 
+def _exit_with_parent() -> None:
+    """Start a daemon thread that ends this worker once its parent is
+    gone.  The serve loop sees pipe EOF only between tasks; a SIGKILLed
+    parent must not leave workers computing an orphaned task."""
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(_ORPHAN_EXIT)
+
+    threading.Thread(target=watch, name="repro-parent-watch",
+                     daemon=True).start()
+
+
 def _worker_main(child_conn, parent_conn=None) -> None:
     """Warm-worker serve loop: handle tasks until sentinel or EOF.
 
     Workers ignore SIGINT: a terminal's Ctrl-C reaches the whole process
     group, and the parent, which owns the interrupt, stops its workers
-    through :meth:`WarmPool.shutdown`.
+    through :meth:`WarmPool.shutdown`.  A worker whose parent dies exits
+    at once (:func:`_exit_with_parent`).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _exit_with_parent()
     if parent_conn is not None:
         parent_conn.close()  # let the parent's EOF detection work
     while True:

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cache.stages import cached_stage
 from repro.thermal.model import TissueThermalModel
 from repro.units import mm
 
@@ -145,13 +144,8 @@ class ChipThermalGrid:
                 rhs[here] = power_map_w[iy, ix]
         return matrix.tocsr(), rhs
 
-    @cached_stage("thermal.solve")
     def solve(self, power_map_w: np.ndarray) -> np.ndarray:
         """Steady-state temperature rise field [K].
-
-        Memoized under an active stage cache (:mod:`repro.cache.stages`),
-        keyed on the grid's parameters (this frozen dataclass hashes by
-        its fields), the power map, and this module's source fingerprint.
 
         Args:
             power_map_w: (ny, nx) per-cell dissipated power.

@@ -1,12 +1,14 @@
 """Startup import hygiene: commands load scipy and networkx only where
-they run.
+they run, and the paper model loads no infrastructure.
 
 ``import repro.cli``, ``repro list``, a warm ``evaluate --cache`` and a
 small ``fleet`` never touch scipy or networkx; a cold ``evaluate`` loads
 scipy when a driver first needs it and still writes golden-identical
 CSVs.  The lazily imported kernels return the same bits on the call that
-triggers the import as on every later call.  Each check runs in a fresh
-interpreter, since this test process has long since imported both.
+triggers the import as on every later call.  Importing the paper-model
+packages loads neither the result cache nor the analyzer.  Each check
+runs in a fresh interpreter, since this test process has long since
+imported all of them.
 """
 
 from __future__ import annotations
@@ -24,6 +26,12 @@ from repro.thermal.grid import ChipThermalGrid
 REPO = Path(__file__).resolve().parents[2]
 GOLDEN_DIR = REPO / "results"
 LAZY = ("scipy", "networkx")
+
+#: The paper model: first-order link, thermal, decoder and DNN-cost
+#: models, which must stand alone without the infrastructure packages.
+MODEL_PACKAGES = ("core", "link", "thermal", "decoders", "dnn", "accel",
+                  "ni", "signals", "compress", "simulate", "wearable")
+INFRASTRUCTURE = ("repro.cache", "repro.analysis")
 
 #: Runs the CLI with the given arguments, then reports the exit code and
 #: every loaded module of a LAZY package as its last stdout line.
@@ -86,6 +94,15 @@ def test_import_cli_loads_no_lazy_package():
     probe = ("import json, sys\nimport repro.cli\n"
              f"print(json.dumps(sorted(name for name in sys.modules "
              f"if name.partition('.')[0] in {LAZY!r})))")
+    assert _python(probe) == []
+
+
+def test_paper_model_loads_no_cache_or_analyzer():
+    probe = ("import importlib, json, sys\n"
+             f"for name in {MODEL_PACKAGES!r}:\n"
+             "    importlib.import_module('repro.' + name)\n"
+             "print(json.dumps(sorted(name for name in sys.modules "
+             f"if name.startswith({INFRASTRUCTURE!r}))))")
     assert _python(probe) == []
 
 

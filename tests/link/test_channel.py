@@ -61,6 +61,17 @@ class TestBerSweep:
                               rng=np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
 
+    def test_single_point_sweep_is_reproducible(self):
+        # Same seed, same estimate, and the generator is left in the same
+        # state, so later draws from a shared stream are unaffected.
+        from repro.link.channel import measure_ber_sweep
+        rng_a = np.random.default_rng(3)
+        rng_b = np.random.default_rng(3)
+        a = measure_ber_sweep(QPSK(), np.array([4.0]), 10_000, rng=rng_a)
+        b = measure_ber_sweep(QPSK(), np.array([4.0]), 10_000, rng=rng_b)
+        np.testing.assert_array_equal(a, b)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
     def test_sweep_tracks_per_point_measurements(self):
         from repro.link.channel import measure_ber_sweep
         grid = np.linspace(3.0, 9.0, 4)

@@ -264,7 +264,7 @@ class TestCacheCommand:
                      "--output-dir", str(tmp_path)]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["entries"] == 1
-        assert stats["by_kind"] == {"driver": 1}
+        assert stats["corrupt"] == 0
         assert stats["by_label"] == {"table1": 1}
 
     def test_clear(self, capsys, tmp_path):
@@ -287,6 +287,21 @@ class TestCacheCommand:
         assert main(["cache", "gc", "--max-age-days", "0",
                      "--output-dir", str(tmp_path)]) == 0
         assert "removed 1, kept 0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("limit", [("--max-age-days", "-3"),
+                                       ("--max-bytes", "-1")])
+    def test_gc_rejects_negative_limits(self, capsys, tmp_path, limit):
+        assert main(["evaluate", "table1", "fig4", "--seed", "7",
+                     "--quiet", "--cache",
+                     "--output-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["cache", "gc", *limit,
+                     "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"{limit[0]} must be >= 0\n"
+        assert main(["cache", "stats",
+                     "--output-dir", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["entries"] == 2
 
     def test_stats_on_missing_cache(self, capsys, tmp_path):
         assert main(["cache", "stats",

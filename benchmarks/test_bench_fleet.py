@@ -12,6 +12,12 @@ the two paths is asserted separately (tests/fleet/test_parity.py);
 this file measures the speedup on the shipping configuration
 (10k-session Kalman cohort; contract >= 5x, target >= 20x).
 
+Three ``fleet_fit_<family>`` entries time the calibration step alone:
+a Python loop of scalar ``fit`` calls, one per session, against the
+family's batched fit on identical calibration data, after asserting
+that every fitted parameter is bit-equal.  They are recorded only; no
+speed contract rides on them.
+
 Set ``REPRO_BENCH_QUICK=1`` (CI does) for a reduced-size smoke run:
 same comparison and the same JSON shape, fewer sessions and no
 speedup assertion beyond basic sanity.
@@ -24,8 +30,11 @@ import os
 import timeit
 from pathlib import Path
 
-from repro.decoders import KalmanFilterDecoder
+import numpy as np
+
+from repro.decoders import KalmanFilterDecoder, kalman, wiener
 from repro.fleet import CohortSpec, simulate_cohort
+from repro.fleet.decoders import dnn_fit_batch, make_session_decoder
 from repro.obs.manifest import seeded_rng
 from repro.perf.seeds import derive_stream_seed
 from repro.simulate.cursor_task import run_closed_loop_session
@@ -70,6 +79,74 @@ def _best_seconds(func, *, repeat: int) -> float:
     return min(timeit.repeat(func, number=1, repeat=repeat))
 
 
+#: Sessions per timed calibration fit (the fleet-sharded cohort size).
+N_FIT_SESSIONS = 64 if QUICK else 1000
+
+
+def _calibration(spec: CohortSpec):
+    """AR(1) intents and tuned, noisy channel rates for every session."""
+    rng = np.random.default_rng(11)
+    n, t_len = spec.n_sessions, spec.train_timesteps
+    noise = rng.standard_normal((n, t_len, 2))
+    states = np.zeros((n, t_len, 2))
+    for t in range(1, t_len):
+        states[:, t] = 0.95 * states[:, t - 1] + 0.1 * noise[:, t]
+    angles = rng.uniform(0, 2 * np.pi, (n, spec.n_channels))
+    tuning = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    rates = np.maximum(0.5 + spec.gain * np.matmul(states, tuning), 0.0)
+    return states, rates + spec.noise_rms * rng.standard_normal(
+        rates.shape)
+
+
+def _scalar_params(decoder) -> list:
+    """A fitted scalar decoder's parameters, in batched-fit order."""
+    if isinstance(decoder, KalmanFilterDecoder):
+        return [decoder.A, decoder.W, decoder.H, decoder.Q]
+    if hasattr(decoder, "weights"):
+        return [decoder.weights]
+    first, _, second = decoder._decoder.network.layers
+    return [first.weight, first.bias, second.weight, second.bias,
+            np.array(decoder._decoder.history)]
+
+
+def _fit_entry(family: str) -> dict:
+    """Looped scalar fits vs the batched fit, after a bit-equality
+    check of every fitted parameter."""
+    spec = CohortSpec(name=f"fit_{family}", decoder=family,
+                      n_sessions=N_FIT_SESSIONS, **SESSION_KW)
+    states, observations = _calibration(spec)
+    oracles = [make_session_decoder(spec, 7, i)
+               for i in range(spec.n_sessions)]
+
+    def looped():
+        for i, decoder in enumerate(oracles):
+            decoder.fit(states[i], observations[i])
+
+    def batched():
+        if family == "kalman":
+            return kalman.fit_batch(states, observations)
+        if family == "wiener":
+            return (wiener.fit_batch(states, observations,
+                                     spec.n_lags),)
+        return dnn_fit_batch(states, observations,
+                             [d.seed for d in oracles],
+                             hidden=spec.hidden, epochs=spec.epochs)
+
+    looped()
+    stacks = batched()
+    for i, decoder in enumerate(oracles):
+        for stack, param in zip(stacks, _scalar_params(decoder),
+                                strict=True):
+            assert np.array_equal(stack[i], param), (family, i)
+    before = _best_seconds(looped, repeat=1 if QUICK else 3)
+    after = _best_seconds(batched, repeat=1 if QUICK else 3)
+    return {"name": f"fleet_fit_{family}", "before_s": before,
+            "after_s": after,
+            "speedup": before / after if after else float("inf"),
+            "sessions": N_FIT_SESSIONS, "decoder": family,
+            "train_timesteps": SESSION_KW["train_timesteps"]}
+
+
 def test_bench_fleet_cohort():
     """Time looped scalar sessions vs the batched cohort engine."""
     spec = CohortSpec(name="bench", n_sessions=N_SESSIONS,
@@ -87,6 +164,7 @@ def test_bench_fleet_cohort():
     assert sum(s.hits for s in sessions) > 0
 
     speedup = before / after if after else float("inf")
+    fits = [_fit_entry(family) for family in ("kalman", "wiener", "dnn")]
     payload = {
         "quick": QUICK,
         "cpus": os.cpu_count() or 1,
@@ -101,7 +179,7 @@ def test_bench_fleet_cohort():
             "train_timesteps": SESSION_KW["train_timesteps"],
             "min_speedup": MIN_FLEET_SPEEDUP,
             "target_speedup": TARGET_FLEET_SPEEDUP,
-        }],
+        }, *fits],
     }
     BENCH_FLEET_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -120,6 +198,9 @@ def test_bench_fleet_cohort():
 
     print(f"\nfleet_cohort_{N_SESSIONS}: {before:8.2f} s -> "
           f"{after:8.3f} s  ({speedup:6.1f}x)")
+    for entry in fits:
+        print(f"{entry['name']}: {entry['before_s']:8.3f} s -> "
+              f"{entry['after_s']:8.3f} s  ({entry['speedup']:6.1f}x)")
     if not QUICK:
         assert speedup >= MIN_FLEET_SPEEDUP, (
             f"fleet cohort only {speedup:.1f}x over looped "

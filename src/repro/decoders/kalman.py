@@ -185,6 +185,54 @@ def closed_loop_gain_batch(a: np.ndarray, w: np.ndarray,
     return gain, x_prior, hx_prior
 
 
+def fit_batch(states: np.ndarray, observations: np.ndarray,
+              regularization: float = 1e-6):
+    """Batched :meth:`KalmanFilterDecoder.fit` over a stack of sessions.
+
+    The same normal equations as :func:`_lstsq` / :func:`_covariance`,
+    written as batched ``matmul`` over ``swapaxes`` plus one stacked
+    ``solve``.  Every product replays the scalar operation per session
+    slice (a slice's ``x.T @ x`` still takes numpy's ``syrk`` path),
+    so slice ``i`` of each result is bit-for-bit what ``fit`` computes
+    from ``states[i]`` and ``observations[i]``.
+
+    Args:
+        states: (n, T, k) latent kinematics per session.
+        observations: (n, T, m) neural features per session.
+        regularization: ridge coefficient (as in the scalar decoder).
+
+    Returns:
+        ``(A, W, H, Q)`` stacks of shapes (n, k, k), (n, k, k),
+        (n, m, k) and (n, m, m), C-contiguous.
+
+    Raises:
+        ValueError: on mismatched or insufficient data.
+    """
+    states = np.asarray(states, dtype=float)
+    observations = np.asarray(observations, dtype=float)
+    if states.ndim != 3 or observations.ndim != 3:
+        raise ValueError("states and observations must be 3-D stacks")
+    if states.shape[:2] != observations.shape[:2]:
+        raise ValueError("states and observations must align in time")
+    if states.shape[1] < 3:
+        raise ValueError("need at least 3 timesteps to fit dynamics")
+    x_prev, x_next = states[:, :-1], states[:, 1:]
+    a_t = _lstsq_batch(x_prev, x_next, regularization)
+    resid_w = x_next - np.matmul(x_prev, a_t)
+    h_t = _lstsq_batch(states, observations, regularization)
+    resid_q = observations - np.matmul(states, h_t)
+    return (np.ascontiguousarray(np.swapaxes(a_t, 1, 2)),
+            _covariance_batch(resid_w, regularization),
+            np.ascontiguousarray(np.swapaxes(h_t, 1, 2)),
+            _covariance_batch(resid_q, regularization))
+
+
+#: Batched fits and the scalar fits they must match bit-for-bit
+#: (checked by the parity-oracle lint rule and
+#: tests/fleet/test_parity.py).
+PARITY_ORACLES = {"fit_batch": "fit"}
+
+
 def _lstsq(x: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
     """Ridge-regularized least squares solve of x @ B = y."""
     gram = x.T @ x + ridge * np.eye(x.shape[1])
@@ -194,3 +242,18 @@ def _lstsq(x: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
 def _covariance(residuals: np.ndarray, ridge: float) -> np.ndarray:
     cov = residuals.T @ residuals / max(1, len(residuals) - 1)
     return cov + ridge * np.eye(cov.shape[0])
+
+
+def _lstsq_batch(x: np.ndarray, y: np.ndarray,
+                 ridge: float) -> np.ndarray:
+    """:func:`_lstsq` per session slice of (n, T, d) / (n, T, e)."""
+    x_t = np.swapaxes(x, 1, 2)
+    gram = np.matmul(x_t, x) + ridge * np.eye(x.shape[2])
+    return np.linalg.solve(gram, np.matmul(x_t, y))
+
+
+def _covariance_batch(residuals: np.ndarray, ridge: float) -> np.ndarray:
+    """:func:`_covariance` per session slice of (n, T, d) residuals."""
+    cov = (np.matmul(np.swapaxes(residuals, 1, 2), residuals)
+           / max(1, residuals.shape[1] - 1))
+    return cov + ridge * np.eye(cov.shape[2])

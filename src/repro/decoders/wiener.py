@@ -8,6 +8,7 @@ dynamics model — just ridge regression on a lag-embedded design matrix.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.obs.metrics import inc
 from repro.obs.trace import span
@@ -36,19 +37,6 @@ class WienerFilterDecoder:
         """True after :meth:`fit`."""
         return self.weights is not None
 
-    def _embed(self, observations: np.ndarray) -> np.ndarray:
-        """Lag-embed: row t holds frames t-n_lags+1 .. t plus a bias term.
-
-        Early rows use zero padding for missing history.
-        """
-        t_len, m = observations.shape
-        padded = np.vstack([np.zeros((self.n_lags - 1, m)), observations])
-        design = np.empty((t_len, self.n_lags * m + 1))
-        for t in range(t_len):
-            design[t, :-1] = padded[t:t + self.n_lags].reshape(-1)
-            design[t, -1] = 1.0
-        return design
-
     def fit(self, states: np.ndarray, observations: np.ndarray) -> None:
         """Fit readout weights by ridge regression.
 
@@ -63,7 +51,7 @@ class WienerFilterDecoder:
             raise ValueError("need more timesteps than lags")
         with span("decoders.wiener.fit", timesteps=len(states),
                   n_lags=self.n_lags):
-            design = self._embed(observations)
+            design = _embed(observations, self.n_lags)
             gram = design.T @ design + self.regularization * np.eye(
                 design.shape[1])
             self.weights = np.linalg.solve(gram, design.T @ states)
@@ -80,7 +68,7 @@ class WienerFilterDecoder:
         inc("decoders.wiener_steps", len(observations))
         with span("decoders.wiener.decode",
                   timesteps=len(observations)):
-            return self._embed(observations) @ self.weights
+            return _embed(observations, self.n_lags) @ self.weights
 
     def score(self, states: np.ndarray, observations: np.ndarray) -> float:
         """Mean per-dimension correlation between truth and prediction."""
@@ -94,6 +82,66 @@ class WienerFilterDecoder:
             else:
                 correlations.append(float(np.corrcoef(truth, est)[0, 1]))
         return float(np.mean(correlations))
+
+
+def _embed(observations: np.ndarray, n_lags: int) -> np.ndarray:
+    """Lag-embed (..., T, m) features: row t holds frames
+    t-n_lags+1 .. t plus a bias term.
+
+    Early rows use zero padding for missing history.  Leading axes
+    are sessions, so one call embeds a whole stack.
+    """
+    *lead, t_len, m = observations.shape
+    padded = np.concatenate(
+        [np.zeros((*lead, n_lags - 1, m)), observations], axis=-2)
+    windows = sliding_window_view(padded, n_lags, axis=-2)
+    design = np.empty((*lead, t_len, n_lags * m + 1))
+    design[..., :-1] = np.swapaxes(windows, -1, -2).reshape(
+        *lead, t_len, n_lags * m)
+    design[..., -1] = 1.0
+    return design
+
+
+def fit_batch(states: np.ndarray, observations: np.ndarray,
+              n_lags: int = 5, regularization: float = 1e-3) -> np.ndarray:
+    """Batched :meth:`WienerFilterDecoder.fit` over a stack of sessions.
+
+    The scalar ridge normal equations as one batched ``matmul`` over
+    ``swapaxes`` and one stacked ``solve``; every product replays the
+    scalar operation per session slice (``design.T @ design`` keeps
+    numpy's ``syrk`` path), so slice ``i`` is bit-for-bit the weights
+    ``fit`` computes from ``states[i]`` and ``observations[i]``.  The
+    design stack holds ``n * T * (n_lags * m + 1)`` floats, so callers
+    bound memory by fitting sessions in blocks.
+
+    Args:
+        states: (n, T, k) targets per session.
+        observations: (n, T, m) features per session.
+        n_lags / regularization: as in :class:`WienerFilterDecoder`.
+
+    Returns:
+        (n, n_lags * m + 1, k) stacked readout weights.
+
+    Raises:
+        ValueError: on mismatched or insufficient data.
+    """
+    states = np.asarray(states, dtype=float)
+    observations = np.asarray(observations, dtype=float)
+    if states.shape[:2] != observations.shape[:2]:
+        raise ValueError("states and observations must align in time")
+    if states.shape[1] <= n_lags:
+        raise ValueError("need more timesteps than lags")
+    design = _embed(observations, n_lags)
+    design_t = np.swapaxes(design, 1, 2)
+    gram = np.matmul(design_t, design) + regularization * np.eye(
+        design.shape[2])
+    return np.linalg.solve(gram, np.matmul(design_t, states))
+
+
+#: Batched fits and the scalar fits they must match bit-for-bit
+#: (checked by the parity-oracle lint rule and
+#: tests/fleet/test_parity.py).
+PARITY_ORACLES = {"fit_batch": "fit"}
 
 
 def decode_step_batch(weights: np.ndarray, features: np.ndarray,

@@ -1,36 +1,58 @@
-"""Decoder construction and batched closed-loop stepping per family.
+"""Batched decoder fitting and closed-loop stepping per family.
 
-The fleet engine fits one decoder per session with the exact scalar
-``fit`` paths (so a 1-session cohort matches the single-session oracle
-bit-for-bit), then *stacks* the fitted models into ``(n_sessions, …)``
-arrays and steps all sessions through one batched decode per control
-window:
+The fleet engine fits a whole cohort's decoders at once, in blocks of
+:data:`FIT_BLOCK` sessions, as ``(n_sessions, …)`` parameter stacks:
+
+* Kalman — :func:`repro.decoders.kalman.fit_batch`, one stacked
+  normal-equation solve;
+* Wiener — :func:`repro.decoders.wiener.fit_batch`, the same over a
+  lag-embedded design stack;
+* DNN — :func:`dnn_fit_batch`, mini-batch SGD of the ``Dense → Tanh →
+  Dense`` readout run once per mini-batch for every session.
+
+Each batched fit replays its scalar ``fit`` (the oracle, built by
+:func:`make_session_decoder`) slice by slice, so every fitted
+parameter is bit-for-bit the one a per-session fit would produce —
+which keeps a 1-session cohort exact against the single-session
+oracle.  The stacks then step all sessions through one batched decode
+per control window:
 
 * Kalman — the per-window decode from the reset state collapses to a
   constant affine operator per session, precomputed by
   :func:`repro.decoders.kalman.closed_loop_gain_batch`;
 * Wiener — one zero-history design row per session applied by
   :func:`repro.decoders.wiener.decode_step_batch`;
-* DNN — per-layer weight stacks driven through batched matmuls and
-  elementwise activations, replaying ``Dense``/``ReLU``/``Tanh``
-  forward math slice-by-slice.
+* DNN — the two weight stacks driven through batched matmuls and
+  ``tanh``, replaying the ``Dense``/``Tanh`` forward math slice by
+  slice.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Sequence
+
 import numpy as np
 
+from repro.decoders import kalman, wiener
 from repro.decoders.dnn_decoder import DnnDecoder
 from repro.decoders.kalman import KalmanFilterDecoder, closed_loop_gain_batch
 from repro.decoders.wiener import WienerFilterDecoder, decode_step_batch
-from repro.dnn.layers import Dense, ReLU, Tanh
+from repro.dnn.layers import Dense, Tanh
+from repro.dnn.macs import fmac_dense
 from repro.dnn.network import Network
 from repro.fleet.spec import CohortSpec
 from repro.obs.manifest import seeded_rng
+from repro.obs.metrics import inc, observe_many
+from repro.obs.trace import span
 from repro.perf.seeds import derive_stream_seed
 
-__all__ = ["DnnCursorDecoder", "make_session_decoder",
-           "make_batch_decoder"]
+__all__ = ["DnnCursorDecoder", "FIT_BLOCK", "dnn_fit_batch",
+           "make_session_decoder", "make_batch_decoder"]
+
+#: Sessions per batched-fit block: bounds the calibration features and
+#: the Wiener design stack held at once (~13 MB at 160 timesteps and
+#: 16 channels).  The fitted parameters do not depend on it.
+FIT_BLOCK = 128
 
 
 class DnnCursorDecoder:
@@ -81,6 +103,11 @@ class DnnCursorDecoder:
         return self._decoder.decode(observations)
 
 
+def _dnn_seed(cohort_seed: int | None, index: int) -> int | None:
+    """Session ``index``'s DNN substream (init and minibatch order)."""
+    return derive_stream_seed(cohort_seed, "dnn", str(index))
+
+
 def make_session_decoder(spec: CohortSpec, cohort_seed: int | None,
                          index: int):
     """A fresh, unfitted decoder for session ``index`` of a cohort.
@@ -95,20 +122,89 @@ def make_session_decoder(spec: CohortSpec, cohort_seed: int | None,
     if spec.decoder == "wiener":
         return WienerFilterDecoder(n_lags=spec.n_lags)
     if spec.decoder == "dnn":
-        seed = derive_stream_seed(cohort_seed, "dnn", str(index))
-        return DnnCursorDecoder(seed=seed, hidden=spec.hidden,
-                                epochs=spec.epochs)
+        return DnnCursorDecoder(seed=_dnn_seed(cohort_seed, index),
+                                hidden=spec.hidden, epochs=spec.epochs)
     raise ValueError(f"unknown decoder family {spec.decoder!r}")
+
+
+def dnn_fit_batch(states: np.ndarray, observations: np.ndarray,
+                  seeds: Sequence[int | None], hidden: int = 16,
+                  epochs: int = 3, batch_size: int = 32,
+                  learning_rate: float = 0.05):
+    """Batched :meth:`DnnCursorDecoder.fit` over a stack of sessions.
+
+    Session ``i`` draws from ``seeded_rng(seeds[i])`` exactly what its
+    scalar fit draws — the He-init weights of both ``Dense`` layers,
+    then one ``permutation`` per epoch — and the mini-batch SGD of
+    :func:`repro.dnn.train.sgd_train` (forward, MSE gradient, backward,
+    update) then runs once per mini-batch for every session, with
+    batched matmuls that replay the scalar per-slice products.  Every
+    returned array is bit-for-bit the scalar fit's.
+
+    Args:
+        states: (n, T, k) regression targets per session.
+        observations: (n, T, f) features per session.
+        seeds: one generator seed per session.
+        hidden / epochs / batch_size / learning_rate: as in
+            :class:`DnnCursorDecoder`.
+
+    Returns:
+        ``(w1, b1, w2, b2, history)``: weight stacks of shapes
+        (n, hidden, f), (n, hidden), (n, k, hidden), (n, k) and the
+        (n, epochs) mean epoch losses.
+    """
+    states = np.asarray(states, dtype=float)
+    observations = np.asarray(observations, dtype=float)
+    n, t_len, n_features = observations.shape
+    n_states = states.shape[2]
+    w1 = np.empty((n, hidden, n_features))
+    w2 = np.empty((n, n_states, hidden))
+    orders = np.empty((n, epochs, t_len), dtype=np.intp)
+    for i, seed in enumerate(seeds):
+        rng = seeded_rng(seed)
+        w1[i] = Dense(n_features, hidden, rng=rng).weight
+        w2[i] = Dense(hidden, n_states, rng=rng).weight
+        for epoch in range(epochs):
+            orders[i, epoch] = rng.permutation(t_len)
+    b1 = np.zeros((n, hidden))
+    b2 = np.zeros((n, n_states))
+    starts = range(0, t_len, batch_size)
+    losses = np.empty((n, epochs, len(starts)))
+    rows = np.arange(n)[:, None]
+    for epoch in range(epochs):
+        for j, start in enumerate(starts):
+            idx = orders[:, epoch, start:start + batch_size]
+            x = observations[rows, idx]
+            hid = np.tanh(np.matmul(x, np.swapaxes(w1, 1, 2))
+                          + b1[:, None, :])
+            diff = (np.matmul(hid, np.swapaxes(w2, 1, 2))
+                    + b2[:, None, :] - states[rows, idx])
+            losses[:, epoch, j] = np.mean(
+                (diff ** 2).reshape(n, -1), axis=1)
+            grad = 2.0 * diff / diff[0].size
+            grad_hid = np.matmul(grad, w2) * (1.0 - hid ** 2)
+            updates = (
+                (w1, np.matmul(np.swapaxes(grad_hid, 1, 2), x)),
+                (b1, grad_hid.sum(axis=1)),
+                (w2, np.matmul(np.swapaxes(grad, 1, 2), hid)),
+                (b2, grad.sum(axis=1)))
+            for param, param_grad in updates:
+                # The scalar gradients accumulate into zeroed buffers;
+                # adding 0.0 replays that (it turns -0.0 into +0.0).
+                param -= learning_rate * (param_grad + 0.0)
+    return w1, b1, w2, b2, np.mean(losses, axis=2)
+
+
+#: Batched fits and the scalar fits they must match bit-for-bit
+#: (checked by the parity-oracle lint rule and
+#: tests/fleet/test_parity.py).
+PARITY_ORACLES = {"dnn_fit_batch": "fit"}
 
 
 class _KalmanBatch:
     """Stacked closed-loop Kalman stepping (constant affine operator)."""
 
-    def __init__(self, decoders) -> None:
-        a = np.stack([decoder.A for decoder in decoders])
-        w = np.stack([decoder.W for decoder in decoders])
-        h = np.stack([decoder.H for decoder in decoders])
-        q = np.stack([decoder.Q for decoder in decoders])
+    def __init__(self, a, w, h, q) -> None:
         self.gain, self.x_prior, self.hx_prior = closed_loop_gain_batch(
             a, w, h, q)
 
@@ -122,9 +218,8 @@ class _KalmanBatch:
 class _WienerBatch:
     """Stacked zero-history Wiener stepping."""
 
-    def __init__(self, decoders, n_lags: int) -> None:
-        self.weights = np.stack([decoder.weights
-                                 for decoder in decoders])
+    def __init__(self, weights: np.ndarray, n_lags: int) -> None:
+        self.weights = weights
         self.n_lags = n_lags
 
     def decode(self, features: np.ndarray,
@@ -134,55 +229,85 @@ class _WienerBatch:
 
 
 class _DnnBatch:
-    """Stacked per-layer MLP forward (batched matmul per Dense)."""
+    """Stacked ``Dense → Tanh → Dense`` forward (batched matmuls)."""
 
-    def __init__(self, decoders) -> None:
-        layers = decoders[0]._decoder.network.layers
-        plan = []
-        for position, layer in enumerate(layers):
-            if isinstance(layer, Dense):
-                weight = np.stack(
-                    [decoder._decoder.network.layers[position].weight
-                     for decoder in decoders])
-                bias = np.stack(
-                    [decoder._decoder.network.layers[position].bias
-                     for decoder in decoders])
-                plan.append(("dense", weight, bias))
-            elif isinstance(layer, ReLU):
-                plan.append(("relu", None, None))
-            elif isinstance(layer, Tanh):
-                plan.append(("tanh", None, None))
-            else:
-                raise TypeError(
-                    f"cannot batch layer {type(layer).__name__}; the "
-                    "fleet DNN path supports Dense/ReLU/Tanh stacks")
-        self.plan = plan
+    def __init__(self, w1, b1, w2, b2) -> None:
+        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
 
     def decode(self, features: np.ndarray,
                idx: np.ndarray) -> np.ndarray:
         x = features[:, None, :]
-        for kind, weight, bias in self.plan:
-            if kind == "dense":
-                x = (np.matmul(x, np.swapaxes(weight[idx], 1, 2))
-                     + bias[idx][:, None, :])
-            elif kind == "relu":
-                x = np.where(x > 0, x, 0.0)
-            else:
-                x = np.tanh(x)
+        x = np.tanh(np.matmul(x, np.swapaxes(self.w1[idx], 1, 2))
+                    + self.b1[idx][:, None, :])
+        x = (np.matmul(x, np.swapaxes(self.w2[idx], 1, 2))
+             + self.b2[idx][:, None, :])
         return x[:, 0, :]
 
 
-def make_batch_decoder(spec: CohortSpec, decoders):
-    """Stack per-session fitted decoders into one batched stepper.
+def make_batch_decoder(spec: CohortSpec, cohort_seed: int | None,
+                       calibration: Iterable[tuple[np.ndarray,
+                                                   np.ndarray]]):
+    """Fit every session of a cohort and stack the fits into one
+    batched stepper.
+
+    ``calibration`` yields ``(states, observations)`` blocks of shape
+    (b, T, k) and (b, T, m) with ``T = spec.train_timesteps``,
+    sessions in order; it is consumed before
+    this returns, so a lazily drawn block sequence holds only one
+    block of features at a time.  The fit runs under one
+    ``decoders.<family>.fit_batch`` span and its telemetry is one
+    event per counter per cohort, whatever the session count.  Every
+    fitted parameter equals the scalar fit of
+    :func:`make_session_decoder`'s decoder (the parity oracle).
 
     The returned object exposes ``decode(features, idx) -> (len(idx),
     k)`` where ``features`` holds one window for each *active* session
     and ``idx`` selects those sessions' models from the stacks.
     """
+    template = make_session_decoder(spec, cohort_seed, 0)
+    with span(f"decoders.{spec.decoder}.fit_batch",
+              sessions=spec.n_sessions):
+        parts, offset = [], 0
+        for states, observations in calibration:
+            if spec.decoder == "kalman":
+                parts.append(kalman.fit_batch(
+                    states, observations, template.regularization))
+            elif spec.decoder == "wiener":
+                parts.append((wiener.fit_batch(
+                    states, observations, template.n_lags,
+                    template.regularization),))
+            else:
+                seeds = [_dnn_seed(cohort_seed, i)
+                         for i in range(offset, offset + len(states))]
+                parts.append(dnn_fit_batch(
+                    states, observations, seeds, template.hidden,
+                    template.epochs, template.batch_size,
+                    template.learning_rate))
+            offset += len(states)
+        stacks = [np.concatenate(column) for column in zip(*parts)]
+        if spec.decoder == "dnn":
+            _count_dnn_fit(template, spec.train_timesteps, stacks)
     if spec.decoder == "kalman":
-        return _KalmanBatch(decoders)
+        return _KalmanBatch(*stacks)
     if spec.decoder == "wiener":
-        return _WienerBatch(decoders, spec.n_lags)
-    if spec.decoder == "dnn":
-        return _DnnBatch(decoders)
-    raise ValueError(f"unknown decoder family {spec.decoder!r}")
+        return _WienerBatch(*stacks, template.n_lags)
+    return _DnnBatch(*stacks[:4])
+
+
+def _count_dnn_fit(template: DnnCursorDecoder, t_len: int,
+                   stacks: list[np.ndarray]) -> None:
+    """The cohort totals of the counters the scalar DNN fits report
+    (``Network.forward`` and :meth:`DnnDecoder.fit`), one metric event
+    each."""
+    w1, _, w2, _, history = stacks
+    n, n_states = w2.shape[:2]
+    n_features = w1.shape[2]
+    passes = n * template.epochs * -(-t_len // template.batch_size)
+    samples = n * template.epochs * t_len
+    inc("dnn.forward_passes", passes)
+    inc("dnn.samples_processed", samples)
+    inc("dnn.macs_executed",
+        samples * (fmac_dense(n_features, template.hidden).total_macs
+                   + fmac_dense(template.hidden, n_states).total_macs))
+    inc("decoders.dnn_epochs_trained", history.size)
+    observe_many("decoders.dnn_final_loss", history[:, -1].tolist())

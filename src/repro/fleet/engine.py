@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.fault.injector import FaultInjector
 from repro.fault.plan import FaultPlan, LinkFaults
-from repro.fleet.decoders import make_batch_decoder, make_session_decoder
+from repro.fleet.decoders import FIT_BLOCK, make_batch_decoder
 from repro.fleet.result import (
     SESSION_COLUMNS,
     CohortResult,
@@ -119,20 +119,20 @@ def _simulate(spec: CohortSpec, rng: np.random.Generator,
         velocity[:, t] = (0.95 * velocity[:, t - 1]
                           + 0.1 * noise[:, t - 1])
 
-    # Per-session encode + fit: the fits themselves are the scalar
-    # code paths (that is what makes 1-session parity exact); the
-    # encode of the whole calibration block is batched per session.
-    decoders = []
-    for i in range(n):
-        drive = np.matmul(preferred[i],
-                          velocity[i][:, :, None])[:, :, 0]
-        rates = np.maximum(0.5 + user.gain * drive, 0.0)
-        feats = rates + user.noise_rms * rng.standard_normal(
-            (t_len, c))
-        decoder = make_session_decoder(spec, decoder_seed, i)
-        decoder.fit(velocity[i], feats)
-        decoders.append(decoder)
-    batch = make_batch_decoder(spec, decoders)
+    # Calibration features, drawn block by block in session order (a
+    # (b, T, c) draw consumes the stream exactly as b per-session
+    # draws would), each block fitted at once by the batched fits.
+    def calibration():
+        for start in range(0, n, FIT_BLOCK):
+            block = slice(start, min(start + FIT_BLOCK, n))
+            drive = np.matmul(preferred[block, None],
+                              velocity[block, :, :, None])[..., 0]
+            rates = np.maximum(0.5 + user.gain * drive, 0.0)
+            feats = rates + user.noise_rms * rng.standard_normal(
+                rates.shape)
+            yield velocity[block], feats
+
+    batch = make_batch_decoder(spec, decoder_seed, calibration())
 
     t_angles = rng.uniform(0, 2 * np.pi, (n, spec.n_trials))
     targets_all = task.target_distance * np.stack(

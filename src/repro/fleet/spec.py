@@ -92,6 +92,12 @@ class CohortSpec:
         if self.n_lags < 1 or self.hidden < 1 or self.epochs < 1:
             raise ValueError("n_lags, hidden, and epochs must be "
                              "positive")
+        # The fits' own preconditions, checked here so an unfittable
+        # cohort fails at construction, not mid-simulation in a worker.
+        if self.decoder == "kalman" and self.train_timesteps < 3:
+            raise ValueError("need at least 3 timesteps to fit dynamics")
+        if self.decoder == "wiener" and self.train_timesteps <= self.n_lags:
+            raise ValueError("need more timesteps than lags")
 
     def user(self) -> SimulatedUser:
         """The cohort's simulated-user configuration (validated)."""

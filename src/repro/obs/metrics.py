@@ -24,7 +24,8 @@ from repro.obs.events import emit as _emit_event
 from repro.obs.events import events_enabled as _events_enabled
 
 __all__ = ["MetricsRegistry", "REGISTRY", "inc", "set_gauge", "observe",
-           "enable", "disable", "metrics_enabled", "percentile"]
+           "observe_many", "enable", "disable", "metrics_enabled",
+           "percentile"]
 
 #: Cap on raw values retained per histogram (protects long runs).
 _HISTOGRAM_CAP = 4096
@@ -112,11 +113,16 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float) -> None:
         """Record one sample into histogram ``name``."""
+        self.observe_many(name, (value,))
+
+    def observe_many(self, name: str, values: Sequence[float]) -> None:
+        """Record samples into histogram ``name``, in order."""
         with self._lock:
             hist = self._histograms.get(name)
             if hist is None:
                 hist = self._histograms[name] = _Histogram()
-            hist.observe(value)
+            for value in values:
+                hist.observe(value)
 
     def counter(self, name: str) -> float:
         """Current value of a counter (0.0 if never incremented)."""
@@ -262,3 +268,14 @@ def observe(name: str, value: float) -> None:
         REGISTRY.observe(name, value)
         if _events_enabled():
             _emit_event("metric", name, op="observe", value=value)
+
+
+def observe_many(name: str, values: Sequence[float]) -> None:
+    """Record a batch of histogram samples (the registry ends up as
+    after one :func:`observe` per value) with a single timeline event
+    carrying the batch's count and sum; no-op when disabled."""
+    if _enabled:
+        REGISTRY.observe_many(name, values)
+        if _events_enabled():
+            _emit_event("metric", name, op="observe_many",
+                        count=len(values), sum=sum(values))

@@ -8,6 +8,7 @@ from repro.fleet import (
     CohortSpec,
     FleetSpec,
     SessionResult,
+    simulate_cohort,
     summarize_cohort,
 )
 
@@ -74,6 +75,31 @@ class TestCohortSpec:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             CohortSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(decoder="kalman", train_timesteps=2),
+         "need at least 3 timesteps to fit dynamics"),
+        (dict(decoder="wiener", train_timesteps=5),
+         "need more timesteps than lags"),
+        (dict(decoder="wiener", n_lags=8, train_timesteps=8),
+         "need more timesteps than lags"),
+    ], ids=["kalman_2", "wiener_5_lags_5", "wiener_8_lags_8"])
+    def test_rejects_unfittable_calibration(self, kwargs, message):
+        """Cohorts the decoder fit would reject fail at construction
+        (and so in the parent, before any worker runs), with the
+        scalar fits' own messages."""
+        with pytest.raises(ValueError, match=message):
+            CohortSpec(name="x", **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(decoder="kalman", train_timesteps=3),
+        dict(decoder="wiener", train_timesteps=6),
+        dict(decoder="dnn", train_timesteps=2),
+    ], ids=["kalman_3", "wiener_6_lags_5", "dnn_2"])
+    def test_smallest_fittable_calibration_simulates(self, kwargs):
+        spec = CohortSpec(name="x", n_sessions=2, n_trials=1,
+                          timeout_s=0.1, **kwargs)
+        assert len(simulate_cohort(spec, 3)) == 2
 
     def test_decoder_families(self):
         assert DECODER_FAMILIES == ("kalman", "wiener", "dnn")

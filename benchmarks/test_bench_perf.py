@@ -16,6 +16,10 @@ JSON records honest speedups for the exact code in the tree:
   common-random-numbers sweep;
 * ``mc_grid_batch`` — per-(scheme, point) ``measure_ber`` calls vs one
   whole-grid ``measure_ber_grid`` pass (>= 5x contract);
+* ``workload_profile`` — building each MLP network and its partition
+  heads to read their MAC profiles and parameter count (the oracle) vs
+  the closed-form shape and split candidates, over the Fig. 12 ladder's
+  n' range;
 * ``run_all_jobs4`` — serial vs a *cold* ``jobs=4`` run (pool startup
   included);
 * ``run_all_warm_jobs4`` — serial vs a second ``jobs=4`` run against
@@ -46,10 +50,13 @@ from repro.compress.rice import (
     rice_encode_packed,
     zigzag,
 )
+from repro.core.comp_centric import Workload, build_workload
 from repro.core.explorer import (
     _compressed_stream_ratio,
     _max_channels_compressed,
 )
+from repro.core.partitioning import _candidates, admissible_splits
+from repro.dnn.models import speech_mlp_shape
 from repro.core.scaling import scale_to_standard
 from repro.core.socs import soc_by_number
 from repro.experiments import (ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS,
@@ -232,6 +239,39 @@ def _bench_mc_grid(entries: list[dict]) -> None:
             f"per-point calls")
 
 
+def _bench_workload_profile(entries: list[dict]) -> None:
+    """Network builds (the oracle) vs closed-form shapes over the n'
+    values the Fig. 12 ladder's bisection can probe."""
+    grid = range(16, (2048 if QUICK else 8192) + 1, 16)
+
+    def from_networks() -> list:
+        out = []
+        for n in grid:
+            net = build_workload(Workload.MLP, n)
+            sizes = net.compute_layer_output_values()
+            heads = [(split, tuple(net.head(split).mac_profiles()),
+                      sizes[split - 1])
+                     for split in admissible_splits(net)]
+            out.append(((None, tuple(net.mac_profiles()), net.output_values),
+                        *heads, net.n_parameters))
+        return out
+
+    def closed_form() -> list:
+        out = []
+        for n in grid:
+            shape = speech_mlp_shape(n)
+            out.append((*_candidates(shape.mac_profiles, shape.output_values,
+                                     1024),
+                        shape.n_parameters))
+        return out
+
+    assert from_networks() == closed_form()
+    before = _best_seconds(from_networks)
+    after = _best_seconds(closed_form)
+    entries.append(_entry("workload_profile", before, after,
+                          workload="mlp", points=len(grid)))
+
+
 def _bench_run_all(entries: list[dict], tmp_path: Path) -> None:
     jobs = 4
     serial_dir = tmp_path / "serial"
@@ -286,6 +326,7 @@ def test_bench_perf_kernels(tmp_path):
     _bench_frontier(entries)
     _bench_ber_sweep(entries)
     _bench_mc_grid(entries)
+    _bench_workload_profile(entries)
     _bench_run_all(entries, tmp_path)
 
     for entry in entries:

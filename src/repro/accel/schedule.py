@@ -30,7 +30,7 @@ from repro.accel.tech import TechnologyNode
 from repro.dnn.macs import LayerMacs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Schedule:
     """A feasible accelerator schedule.
 
@@ -55,16 +55,14 @@ class Schedule:
         return self.mac_units * tech.p_mac_w
 
 
-def _layer_time(profile: LayerMacs, units: int,
-                tech: TechnologyNode) -> float:
-    """Eq. 11 layer runtime with ``units`` MAC units."""
-    rounds = math.ceil(profile.mac_ops / units)
-    return profile.mac_seq * tech.t_mac_s * rounds
-
-
-def _total_time(profiles: list[LayerMacs], units: int,
-                tech: TechnologyNode) -> float:
-    return sum(_layer_time(p, units, tech) for p in profiles)
+def _total_time(layers: list[tuple[float, int]], units: int) -> float:
+    """Eq. 11 runtime with ``units`` MAC units, summed in layer order over
+    ``(MACseq_i * tMAC, #MACop_i)`` pairs; ``-(-a // b)`` is the integer
+    ``ceil(a / b)``."""
+    total = 0
+    for seq_time, ops in layers:
+        total += seq_time * -(-ops // units)
+    return total
 
 
 def schedule_non_pipelined(profiles: list[LayerMacs],
@@ -76,17 +74,18 @@ def schedule_non_pipelined(profiles: list[LayerMacs],
     bisection over [1, max_i #MACop_i].
     """
     _validate(profiles, deadline_s)
-    max_units = max(p.mac_ops for p in profiles)
-    if _total_time(profiles, max_units, tech) > deadline_s:
+    layers = [(p.mac_seq * tech.t_mac_s, p.mac_ops) for p in profiles]
+    max_units = max(ops for _, ops in layers)
+    if _total_time(layers, max_units) > deadline_s:
         return None
     lo, hi = 1, max_units
     while lo < hi:
         mid = (lo + hi) // 2
-        if _total_time(profiles, mid, tech) <= deadline_s:
+        if _total_time(layers, mid) <= deadline_s:
             hi = mid
         else:
             lo = mid + 1
-    runtime = _total_time(profiles, lo, tech)
+    runtime = _total_time(layers, lo)
     return Schedule(mac_units=lo,
                     per_layer_units=tuple([lo] * len(profiles)),
                     runtime_s=runtime, pipelined=False,
@@ -110,9 +109,11 @@ def schedule_pipelined(profiles: list[LayerMacs],
         rounds_budget = math.floor(deadline_s / seq_time)
         if rounds_budget < 1:
             return None
-        units = math.ceil(profile.mac_ops / rounds_budget)
+        units = -(-profile.mac_ops // rounds_budget)
         allocation.append(units)
-        worst = max(worst, _layer_time(profile, units, tech))
+        layer_time = seq_time * -(-profile.mac_ops // units)
+        if layer_time > worst:
+            worst = layer_time
     return Schedule(mac_units=sum(allocation),
                     per_layer_units=tuple(allocation),
                     runtime_s=worst, pipelined=True,
@@ -141,10 +142,29 @@ def cached_best_schedule(profiles: tuple[LayerMacs, ...],
 
     The strategy sweeps evaluate the same (workload shape, deadline,
     technology) triple once per SoC per grid point; profiles, deadlines
-    and technology nodes are all hashable value types, so the schedule
-    search only ever runs once per distinct triple in a process.
+    and technology nodes are all hashable value types.  The memo is a
+    4096-entry LRU, so a triple searched again after its entry was
+    evicted is searched again: a design-query stream that visits more
+    distinct triples than that both hits and misses.
     """
     return best_schedule(list(profiles), deadline_s, tech)
+
+
+def mac_units_lower_bound(profiles: tuple[LayerMacs, ...] |
+                          list[LayerMacs], deadline_s: float,
+                          tech: TechnologyNode) -> int:
+    """A floor under ``#MAChw`` of every schedule meeting the deadline,
+    in either mode, found without a search.
+
+    Every layer needs ``MACseq_i * #MACop_i * tMAC`` unit-seconds of
+    work.  A shared pool of ``u`` units finishes in at least ``W / u``
+    (``W`` the total work), and a pipelined layer i finishes in at least
+    its own work over ``#MAChw_i``, so meeting ``t`` needs ``W / t``
+    units either way.  The ``1e-9`` margin keeps the floor below the
+    schedulers' float sums, which round far less than that.
+    """
+    work = sum(p.mac_seq * p.mac_ops for p in profiles) * tech.t_mac_s
+    return int(work / deadline_s * (1.0 - 1e-9))
 
 
 def compute_power_lower_bound(profiles: list[LayerMacs],

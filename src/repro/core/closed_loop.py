@@ -24,7 +24,10 @@ from dataclasses import dataclass
 
 from repro.accel.schedule import Schedule, cached_best_schedule
 from repro.accel.tech import TECH_45NM, TechnologyNode
+from repro.core.comp_centric import Workload, _workload_profile
+from repro.core.frontier import scan_first_run
 from repro.core.scaling import ScaledSoC
+from repro.dnn.macs import LayerMacs
 from repro.dnn.network import Network
 from repro.obs.metrics import inc
 from repro.obs.trace import span
@@ -129,7 +132,7 @@ class ClosedLoopPoint:
 
 
 def max_channels_closed_loop(soc: ScaledSoC,
-                             build_network,
+                             workload: Workload = Workload.MLP,
                              tech: TechnologyNode = TECH_45NM,
                              step: int = 256,
                              n_limit: int = 16384,
@@ -138,26 +141,20 @@ def max_channels_closed_loop(soc: ScaledSoC,
 
     Args:
         soc: the anchor design.
-        build_network: channel count -> decoder network factory.
+        workload: the decoder DNN, scaled to each scanned n.
         tech: MAC technology node.
         step / n_limit: scan granularity and ceiling.
         **kwargs: forwarded to :func:`evaluate_closed_loop`.
     """
-    best = 0
-    n = step
-    while n <= n_limit:
-        point = evaluate_closed_loop(soc, build_network(n), n, tech=tech,
-                                     **kwargs)
-        if point.feasible:
-            best = n
-        elif best:
-            break
-        n += step
-    return best
+    return scan_first_run(
+        lambda n: evaluate_closed_loop(
+            soc, _workload_profile(workload, n)[0], n, tech=tech,
+            **kwargs).feasible,
+        range(step, n_limit + 1, step))
 
 
 def evaluate_closed_loop(soc: ScaledSoC,
-                         network: Network,
+                         network: Network | tuple[LayerMacs, ...],
                          n_channels: int,
                          window_samples: int = 4,
                          stimulation: StimulationConfig | None = None,
@@ -170,6 +167,8 @@ def evaluate_closed_loop(soc: ScaledSoC,
     the reaction budget; Eq. 11/14 then sizes the MAC pool for that
     deadline (a much looser one than the per-sample bound of Fig. 10 —
     closed-loop decoding happens once per decision, not once per sample).
+    ``network`` is the decoder, or its tuple of compute-layer MAC
+    profiles.
     """
     if n_channels <= 0 or window_samples <= 0:
         raise ValueError("channel count and window must be positive")
@@ -187,8 +186,9 @@ def evaluate_closed_loop(soc: ScaledSoC,
     else:
         with span("closed_loop.schedule", soc=soc.name,
                   n_channels=n_channels):
-            schedule = cached_best_schedule(tuple(network.mac_profiles()),
-                                            compute_budget, tech)
+            profiles = (network if isinstance(network, tuple)
+                        else tuple(network.mac_profiles()))
+            schedule = cached_best_schedule(profiles, compute_budget, tech)
         decode = schedule.runtime_s if schedule else math.inf
         comp_power = schedule.power_w(tech) if schedule else math.inf
 

@@ -19,13 +19,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-import numpy as np
-
 from repro.accel.schedule import Schedule, cached_best_schedule
 from repro.accel.tech import TECH_45NM, TechnologyNode
+from repro.core.frontier import scan_first_run
 from repro.core.scaling import ScaledSoC
 from repro.dnn.macs import LayerMacs
-from repro.dnn.models import build_speech_dncnn, build_speech_mlp
+from repro.dnn.models import (
+    NetworkShape,
+    build_speech_dncnn,
+    build_speech_mlp,
+    speech_dncnn_shape,
+    speech_mlp_shape,
+)
 from repro.dnn.network import Network
 from repro.units import SAFE_POWER_DENSITY
 
@@ -44,6 +49,13 @@ _BUILDERS: dict[Workload, Callable[[int], Network]] = {
 }
 
 
+#: Workload -> closed form of its builder's network shape (no network).
+_SHAPES: dict[Workload, Callable[[int], NetworkShape]] = {
+    Workload.MLP: speech_mlp_shape,
+    Workload.DNCNN: speech_dncnn_shape,
+}
+
+
 def build_workload(workload: Workload, n_channels: int) -> Network:
     """Shape-only network for a workload at a channel count."""
     return _BUILDERS[workload](n_channels)
@@ -53,15 +65,14 @@ def build_workload(workload: Workload, n_channels: int) -> Network:
 def _workload_profile(workload: Workload, n_channels: int,
                       ) -> tuple[tuple[LayerMacs, ...], int, int, int]:
     """(MAC profiles, output values, total MACs, parameters) for a
-    workload at a channel count.
+    workload at a channel count, in closed form: no network is built.
 
-    The shape-only networks are deterministic in (workload, n), so the
-    sweeps share one build per point instead of rebuilding the layer
-    stack for every SoC on the grid.
+    Memoized because the sweeps revisit each (workload, n) once per SoC
+    on the grid.
     """
-    net = build_workload(workload, n_channels)
-    return (tuple(net.mac_profiles()), net.output_values,
-            net.total_macs, net.n_parameters)
+    shape = _SHAPES[workload](n_channels)
+    return (shape.mac_profiles, shape.output_values, shape.total_macs,
+            shape.n_parameters)
 
 
 @dataclass(frozen=True)
@@ -167,51 +178,23 @@ def sweep_comp_centric(soc: ScaledSoC,
             for n in channel_counts]
 
 
-def power_ratio_curve(soc: ScaledSoC,
-                      workload: Workload,
-                      channel_counts: np.ndarray,
-                      tech: TechnologyNode = TECH_45NM) -> np.ndarray:
-    """P_soc/P_budget over a channel grid (the Fig. 10 y-axis).
-
-    Network shapes and MAC schedules are memoized
-    (:func:`_workload_profile`,
-    :func:`repro.accel.schedule.cached_best_schedule`), so sweeping the
-    same grid across several SoCs costs one schedule search per distinct
-    (workload, n, deadline, technology) rather than one per point.
-    """
-    return np.array([
-        evaluate_comp_centric(soc, workload, int(n), tech).power_ratio
-        for n in np.asarray(channel_counts).tolist()])
-
-
 def max_feasible_channels(soc: ScaledSoC,
                           workload: Workload,
                           tech: TechnologyNode = TECH_45NM,
                           step: int = 64,
-                          n_limit: int = 16384,
-                          chunk: int = 16) -> int:
+                          n_limit: int = 16384) -> int:
     """Largest n at which the workload still fits the power budget.
 
     Scans upward in ``step`` increments from ``step`` (the feasibility
     frontier is effectively monotone — compute power grows quadratically
     while the budget grows linearly — but depth changes make it only
-    piecewise smooth, so scanning beats bisection for robustness).  The
-    grid is evaluated in ``chunk``-sized batches through
-    :func:`power_ratio_curve`, stopping at the first failure after a
-    feasible point exactly like the historical scalar scan.
+    piecewise smooth, so scanning beats bisection for robustness),
+    stopping at the first failure after a feasible point.
 
     Returns:
         The maximum feasible channel count, or 0 when the workload never
         fits this SoC.
     """
-    grid = np.arange(step, n_limit + 1, step, dtype=np.int64)
-    best = 0
-    for start in range(0, grid.size, chunk):
-        block = grid[start:start + chunk]
-        fits = power_ratio_curve(soc, workload, block, tech) <= 1.0
-        for n, ok in zip(block.tolist(), fits.tolist()):
-            if ok:
-                best = n
-            elif best:
-                return best
-    return best
+    return scan_first_run(
+        lambda n: evaluate_comp_centric(soc, workload, n, tech).fits,
+        range(step, n_limit + 1, step))

@@ -26,6 +26,7 @@ from repro.core.comm_centric import (
 )
 from repro.core.comp_centric import (
     Workload,
+    _workload_profile,
     evaluate_comp_centric,
     max_feasible_channels,
 )
@@ -210,12 +211,12 @@ def explore(soc: ScaledSoC,
         evaluate_closed_loop,
         max_channels_closed_loop,
     )
-    from repro.dnn.models import build_speech_mlp
-    loop = evaluate_closed_loop(soc, build_speech_mlp(target_channels),
-                                target_channels, tech=tech)
+    loop = evaluate_closed_loop(
+        soc, _workload_profile(Workload.MLP, target_channels)[0],
+        target_channels, tech=tech)
     outcomes.append(StrategyOutcome(
         "closed loop (mlp, no telemetry)",
-        max_channels_closed_loop(soc, build_speech_mlp, tech),
+        max_channels_closed_loop(soc, Workload.MLP, tech),
         loop.power_ratio if loop.meets_deadline else math.inf))
 
     return ExplorationReport(soc_name=soc.name,

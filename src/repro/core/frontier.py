@@ -11,12 +11,13 @@ step-scan loop; this module centralizes two array-based replacements:
   one scalar point per iteration.
 * :func:`first_run_frontier` — reproduces the step-scan-with-early-break
   semantics (used where feasibility is only piecewise smooth) from a
-  vectorized feasibility mask.
+  vectorized feasibility mask; :func:`scan_first_run` is the same scan
+  over a scalar predicate, evaluated lazily.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -93,3 +94,22 @@ def first_run_frontier(grid: np.ndarray, fits: np.ndarray) -> int:
     failures = np.flatnonzero(~fits[start:])
     end = start + int(failures[0]) - 1 if failures.size else fits.size - 1
     return int(np.asarray(grid)[end])
+
+
+def scan_first_run(fits: Callable[[int], bool], grid: Iterable[int]) -> int:
+    """End of the first feasible run over an ascending grid.
+
+    The scalar scan :func:`first_run_frontier` mirrors, evaluating
+    ``fits`` only up to the first failure after a feasible point.
+
+    Returns:
+        The grid value ending the first feasible run, or 0 when no point
+        fits.
+    """
+    best = 0
+    for n in grid:
+        if fits(n):
+            best = n
+        elif best:
+            break
+    return best

@@ -22,13 +22,16 @@ y-axis).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.accel.schedule import best_schedule
+from repro.accel.schedule import mac_units_lower_bound
 from repro.accel.tech import TECH_12NM, TECH_45NM, TechnologyNode
-from repro.core.comp_centric import Workload, build_workload
-from repro.core.partitioning import admissible_splits
+from repro.core.comp_centric import Workload, _workload_profile
+from repro.core.partitioning import (
+    _comm_power_w,
+    _implant_cost,
+    _split_candidates,
+)
 from repro.core.scaling import ScaledSoC
 from repro.units import SAFE_POWER_DENSITY
 
@@ -64,18 +67,6 @@ LADDER: tuple[tuple[str, OptimizationConfig], ...] = (
 )
 
 
-def _implant_power_w(soc: ScaledSoC, net, transmitted: int,
-                     tech: TechnologyNode) -> float:
-    """Compute + communication power of an on-implant sub-network."""
-    deadline = 1.0 / soc.sampling_hz
-    schedule = best_schedule(net.mac_profiles(), deadline, tech)
-    if schedule is None:
-        return math.inf
-    comm = (transmitted * soc.sample_bits * soc.sampling_hz
-            * soc.implied_energy_per_bit_j)
-    return schedule.power_w(tech) + comm
-
-
 def densified_sensing_area_m2(soc: ScaledSoC, n_channels: int,
                               density_factor: float) -> float:
     """Sensing area under the +Dense optimization.
@@ -96,21 +87,33 @@ def densified_sensing_area_m2(soc: ScaledSoC, n_channels: int,
 
 def _design_fits(soc: ScaledSoC, workload: Workload, n_channels: int,
                  active_channels: int, config: OptimizationConfig) -> bool:
-    """Feasibility of sensing n channels while computing on n' of them."""
-    net = build_workload(workload, active_channels)
-    non_sensing = _implant_power_w(soc, net, net.output_values, config.tech)
-    if config.layer_reduction:
-        sizes = net.compute_layer_output_values()
-        for split in admissible_splits(net):
-            candidate = _implant_power_w(soc, net.head(split),
-                                         sizes[split - 1], config.tech)
-            non_sensing = min(non_sensing, candidate)
+    """Feasibility of sensing n channels while computing on n' of them:
+    the whole n'-channel model on the implant or, with layer reduction,
+    any of its admissible heads (Section 6.1's candidates).
 
+    The design fits when its cheapest candidate does, which is when any
+    candidate does.  A candidate whose Eq. 13 power floor
+    (:func:`mac_units_lower_bound`) already breaks the budget is ruled
+    out without a schedule search.
+    """
+    tech = config.tech
+    deadline = 1.0 / soc.sampling_hz
     sensing_area = densified_sensing_area_m2(soc, n_channels,
                                              config.density_factor)
     budget = (sensing_area + soc.non_sensing_area_m2) * SAFE_POWER_DENSITY
-    total = soc.sensing_power_w(n_channels) + non_sensing
-    return total <= budget
+    sensing = soc.sensing_power_w(n_channels)
+    candidates = _split_candidates(workload, active_channels, 1024)
+    if not config.layer_reduction:
+        candidates = candidates[:1]
+    for _, profiles, transmitted in candidates:
+        floor_w = (mac_units_lower_bound(profiles, deadline, tech)
+                   * tech.p_mac_w)
+        if sensing + (floor_w + _comm_power_w(soc, transmitted)) > budget:
+            continue
+        comp, comm, _ = _implant_cost(soc, profiles, transmitted, tech)
+        if sensing + (comp + comm) <= budget:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -168,8 +171,8 @@ def evaluate_ladder_step(soc: ScaledSoC, n_channels: int, step_name: str,
     if active == 0:
         fraction = 0.0
     else:
-        full = build_workload(workload, n_channels).n_parameters
-        reduced = build_workload(workload, active).n_parameters
+        full = _workload_profile(workload, n_channels)[3]
+        reduced = _workload_profile(workload, active)[3]
         fraction = reduced / full
     return OptimizedDesign(soc_name=soc.name, step_name=step_name,
                            n_channels=n_channels, active_channels=active,

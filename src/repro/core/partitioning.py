@@ -26,11 +26,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from repro.accel.schedule import Schedule, cached_best_schedule
 from repro.accel.tech import TECH_45NM, TechnologyNode
-from repro.core.comp_centric import Workload, build_workload
+from repro.core.comp_centric import Workload, _workload_profile
+from repro.core.frontier import scan_first_run
 from repro.core.scaling import ScaledSoC
 from repro.dnn.macs import LayerMacs
 from repro.dnn.network import Network
@@ -108,6 +107,12 @@ class PartitionedPoint:
         return self.power_ratio <= 1.0
 
 
+def _comm_power_w(soc: ScaledSoC, transmitted: int) -> float:
+    """Eq. 8/9 power of streaming ``transmitted`` values per sample."""
+    return (transmitted * soc.sample_bits * soc.sampling_hz
+            * soc.implied_energy_per_bit_j)
+
+
 def _implant_cost(soc: ScaledSoC, profiles: tuple[LayerMacs, ...],
                   transmitted: int, tech: TechnologyNode,
                   ) -> tuple[float, float, Schedule | None]:
@@ -115,22 +120,24 @@ def _implant_cost(soc: ScaledSoC, profiles: tuple[LayerMacs, ...],
     deadline = 1.0 / soc.sampling_hz
     schedule = cached_best_schedule(profiles, deadline, tech)
     comp = schedule.power_w(tech) if schedule else math.inf
-    comm = (transmitted * soc.sample_bits * soc.sampling_hz
-            * soc.implied_energy_per_bit_j)
-    return comp, comm, schedule
+    return comp, _comm_power_w(soc, transmitted), schedule
 
 
-def _network_candidates(net: Network, max_values: int,
-                        ) -> tuple[tuple[int | None, tuple[LayerMacs, ...],
-                                         int], ...]:
+def _candidates(profiles: tuple[LayerMacs, ...], output_values: int,
+                max_values: int,
+                ) -> tuple[tuple[int | None, tuple[LayerMacs, ...],
+                                 int], ...]:
     """(split, head MAC profiles, transmitted values) for every candidate
-    partition of a network — "no split" first, then admissible splits in
-    layer order."""
-    sizes = net.compute_layer_output_values()
-    candidates = [(None, tuple(net.mac_profiles()), net.output_values)]
-    for split in admissible_splits(net, max_values=max_values):
-        candidates.append((split, tuple(net.head(split).mac_profiles()),
-                           sizes[split - 1]))
+    partition — "no split" first, then admissible splits in layer order.
+
+    The head up to compute layer ``i`` runs the first ``i`` compute
+    layers, so its profiles are ``profiles[:i]``, and it transmits one
+    value per MACop of its last layer (the Fig. 8 convention).
+    """
+    candidates = [(None, profiles, output_values)]
+    for split, profile in enumerate(profiles[:-1], start=1):
+        if profile.mac_ops <= max_values:
+            candidates.append((split, profiles[:split], profile.mac_ops))
     return tuple(candidates)
 
 
@@ -138,14 +145,11 @@ def _network_candidates(net: Network, max_values: int,
 def _split_candidates(workload: Workload, n_channels: int, max_values: int,
                       ) -> tuple[tuple[int | None, tuple[LayerMacs, ...],
                                        int], ...]:
-    """Cached candidate partitions for a built workload.
-
-    Head sub-networks are rebuilt per (workload, n) only once per
-    process; the frontier scans then reuse the profile tuples across
-    every SoC on the grid.
-    """
-    net = build_workload(workload, n_channels)
-    return _network_candidates(net, max_values)
+    """Memoized candidate partitions of a workload, from the closed-form
+    profiles :func:`_workload_profile` holds (no network or head is
+    built)."""
+    profiles, output_values, _, _ = _workload_profile(workload, n_channels)
+    return _candidates(profiles, output_values, max_values)
 
 
 def evaluate_partitioned(soc: ScaledSoC,
@@ -178,7 +182,8 @@ def evaluate_partitioned(soc: ScaledSoC,
     if network is None:
         all_candidates = _split_candidates(workload, n_channels, max_values)
     else:
-        all_candidates = _network_candidates(network, max_values)
+        all_candidates = _candidates(tuple(network.mac_profiles()),
+                                     network.output_values, max_values)
 
     if rule == "earliest":
         # The paper's rule: the earliest admissible split, or no split
@@ -214,48 +219,19 @@ def evaluate_partitioned(soc: ScaledSoC,
     )
 
 
-def power_ratio_curve(soc: ScaledSoC,
-                      workload: Workload,
-                      channel_counts: np.ndarray,
-                      tech: TechnologyNode = TECH_45NM,
-                      rule: str = "optimal") -> np.ndarray:
-    """P_soc/P_budget of the partitioned design over a channel grid.
-
-    Split candidates and MAC schedules are memoized, so sweeping the same
-    grid across several SoCs reuses the network builds and schedule
-    searches instead of repeating them per point.
-    """
-    return np.array([
-        evaluate_partitioned(soc, workload, int(n), tech,
-                             rule=rule).power_ratio
-        for n in np.asarray(channel_counts).tolist()])
-
-
 def max_feasible_channels_partitioned(soc: ScaledSoC,
                                       workload: Workload,
                                       tech: TechnologyNode = TECH_45NM,
                                       step: int = 64,
                                       n_limit: int = 16384,
-                                      rule: str = "optimal",
-                                      chunk: int = 16) -> int:
-    """Largest n at which the partitioned workload fits the budget.
-
-    The grid is evaluated in ``chunk``-sized batches through
-    :func:`power_ratio_curve`, stopping at the first failure after a
-    feasible point exactly like the historical scalar scan.
-    """
-    grid = np.arange(step, n_limit + 1, step, dtype=np.int64)
-    best = 0
-    for start in range(0, grid.size, chunk):
-        block = grid[start:start + chunk]
-        fits = power_ratio_curve(soc, workload, block, tech,
-                                 rule=rule) <= 1.0
-        for n, ok in zip(block.tolist(), fits.tolist()):
-            if ok:
-                best = n
-            elif best:
-                return best
-    return best
+                                      rule: str = "optimal") -> int:
+    """Largest n at which the partitioned workload fits the budget,
+    scanning upward in ``step`` increments and stopping at the first
+    failure after a feasible point."""
+    return scan_first_run(
+        lambda n: evaluate_partitioned(soc, workload, n, tech,
+                                       rule=rule).fits,
+        range(step, n_limit + 1, step))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -123,34 +124,49 @@ def _ideal_energy_per_bit(bits_per_symbol: int,
         return math.inf
 
 
+def _efficiency_blocks(soc: ScaledSoC, n: np.ndarray,
+                       budget: LinkBudget) -> Iterator[np.ndarray]:
+    """Minimum QAM efficiency over a channel grid, one run of grid points
+    sharing a QAM order at a time.
+
+    Each run costs one Eb/N0 inversion, or none when sensing alone
+    exceeds the budget at every point of it (those points read ``inf``
+    whatever the energy per bit).
+    """
+    bits = np.ceil(n / soc.n_channels).astype(np.int64)
+    throughput = float(soc.sample_bits) * n * soc.sampling_hz
+    area = (soc.sensing_area_anchor_m2 * n / soc.n_channels
+            + soc.non_sensing_area_m2)
+    available = (area * SAFE_POWER_DENSITY
+                 - soc.sensing_power_anchor_w * n / soc.n_channels)
+    starved = available <= 0.0
+    bounds = [0, *(np.flatnonzero(np.diff(bits)) + 1).tolist(), n.size]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        run = slice(start, stop)
+        energy = (math.inf if starved[run].all()
+                  else _ideal_energy_per_bit(int(bits[start]), budget))
+        with np.errstate(invalid="ignore"):
+            efficiency = (throughput[run] * energy
+                          / np.where(starved[run], 1.0, available[run]))
+        yield np.where(starved[run], math.inf, efficiency)
+
+
 def min_efficiency_curve(soc: ScaledSoC,
                          channel_counts: np.ndarray,
                          budget: LinkBudget | None = None) -> np.ndarray:
     """Vectorized Fig. 7 y-axis over a whole channel grid.
 
-    The expensive Eb/N0 inversion is evaluated once per distinct QAM
-    order (one per 1024-channel block) instead of once per channel count;
-    otherwise the result is numerically identical, point for point, to
+    The expensive Eb/N0 inversion is evaluated once per run of equal QAM
+    order (one per 1024-channel block of an ascending grid) instead of
+    once per channel count; otherwise the result is numerically
+    identical, point for point, to
     ``evaluate_qam_design(soc, n, budget).min_efficiency``.
     """
     budget = budget or LinkBudget()
     n = np.asarray(channel_counts, dtype=np.int64)
     if n.size and int(n.min()) < soc.n_channels:
         raise ValueError(f"QAM scaling explores n >= {soc.n_channels}")
-    bits = np.ceil(n / soc.n_channels).astype(np.int64)
-    energy_by_order = {b: _ideal_energy_per_bit(b, budget)
-                       for b in np.unique(bits).tolist()}
-    energy = np.array([energy_by_order[b] for b in bits.tolist()])
-    throughput = float(soc.sample_bits) * n * soc.sampling_hz
-    comm_power = throughput * energy
-    area = (soc.sensing_area_anchor_m2 * n / soc.n_channels
-            + soc.non_sensing_area_m2)
-    available = (area * SAFE_POWER_DENSITY
-                 - soc.sensing_power_anchor_w * n / soc.n_channels)
-    starved = available <= 0.0
-    with np.errstate(invalid="ignore"):
-        efficiency = comm_power / np.where(starved, 1.0, available)
-    return np.where(starved, math.inf, efficiency)
+    return np.concatenate(list(_efficiency_blocks(soc, n, budget)))
 
 
 def max_channels_at_efficiency(soc: ScaledSoC,
@@ -162,13 +178,14 @@ def max_channels_at_efficiency(soc: ScaledSoC,
 
     Scans in ``step``-channel increments (the efficiency requirement is
     piecewise smooth with jumps at 1024-channel block boundaries, so a
-    plain scan is robust where bisection is not).  The whole scan grid is
-    evaluated in one :func:`min_efficiency_curve` pass; results match the
-    historical scalar scan exactly.
+    plain scan is robust where bisection is not).  The grid is evaluated
+    one 1024-channel block (one QAM order, one Eb/N0 inversion) at a
+    time, stopping at the block where the first feasible run ends;
+    results match the historical scalar scan exactly.
 
     Returns:
-        The maximum feasible n; ``soc.n_channels`` - step if even the
-        anchor is infeasible is never returned — the result is floored at 0.
+        The end of the first feasible grid run, or 0 when no grid point
+        is feasible.
     """
     if not 0.0 < efficiency <= 1.0:
         raise ValueError("efficiency must lie in (0, 1]")
@@ -176,5 +193,9 @@ def max_channels_at_efficiency(soc: ScaledSoC,
     grid = np.arange(soc.n_channels, n_limit + 1, step, dtype=np.int64)
     if grid.size == 0:
         return 0
-    curve = min_efficiency_curve(soc, grid, budget)
-    return first_run_frontier(grid, curve <= efficiency)
+    fits: list[bool] = []
+    for block in _efficiency_blocks(soc, grid, budget):
+        fits += (block <= efficiency).tolist()
+        if True in fits and False in fits[fits.index(True):]:
+            break
+    return first_run_frontier(grid[:len(fits)], fits)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayerMacs:
     """The MAC profile of a single DNN layer.
 

@@ -83,6 +83,10 @@ def ber_mqam(ebn0_linear: float, bits_per_symbol: int) -> float:
     return min(0.5, coeff * q_function(arg))
 
 
+#: Largest k with 1e-6 * 2**k <= 1e12: the last bracket doubling tried.
+_MAX_DOUBLINGS = 59
+
+
 def required_ebn0(target_ber: float,
                   bits_per_symbol: int = 1,
                   scheme: str = "qam") -> float:
@@ -97,7 +101,8 @@ def required_ebn0(target_ber: float,
         Required Eb/N0 as a linear ratio.
 
     Raises:
-        ValueError: for out-of-range targets or unknown schemes.
+        ValueError: for out-of-range targets or unknown schemes, or when
+            no Eb/N0 up to 1e12 reaches the target.
     """
     if not 0.0 < target_ber < 0.5:
         raise ValueError("target BER must lie in (0, 0.5)")
@@ -113,14 +118,22 @@ def required_ebn0(target_ber: float,
     from scipy.optimize import brentq
 
     inc("link.ebn0_inversions")
-    lo, hi = 1e-6, 1e-6
-    # Grow the bracket until the BER at `hi` is below target.
-    while curve(hi) > target_ber:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValueError("failed to bracket required Eb/N0")
-    return brentq(lambda x: curve(x) - target_ber, lo, hi, xtol=1e-9,
-                  rtol=1e-12)
+    lo = 1e-6
+    # The bracket's upper end is the first doubling 1e-6 * 2**k that
+    # reaches the target, among those up to 1e12 (k <= _MAX_DOUBLINGS).
+    # BER falls monotonically with Eb/N0, so bisecting over k finds the
+    # same k as doubling one step at a time, in ~6 evaluations not ~37.
+    if curve(math.ldexp(lo, _MAX_DOUBLINGS)) > target_ber:
+        raise ValueError("failed to bracket required Eb/N0")
+    below, k = -1, _MAX_DOUBLINGS  # curve misses at `below`, meets at k
+    while k - below > 1:
+        mid = (below + k) // 2
+        if curve(math.ldexp(lo, mid)) > target_ber:
+            below = mid
+        else:
+            k = mid
+    return brentq(lambda x: curve(x) - target_ber, lo, math.ldexp(lo, k),
+                  xtol=1e-9, rtol=1e-12)
 
 
 def shannon_ebn0_limit_db(spectral_efficiency: float) -> float:

@@ -2,15 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.accel.schedule import (
     best_schedule,
     compute_power_lower_bound,
+    mac_units_lower_bound,
     schedule_non_pipelined,
     schedule_pipelined,
 )
-from repro.accel.tech import TECH_45NM
+from repro.accel.tech import TECH_12NM, TECH_45NM
 from repro.dnn.macs import LayerMacs
 
 
@@ -147,3 +149,76 @@ class TestBestSchedule:
         expected = 7 * TECH_45NM.t_mac_s * math.ceil(
             13 / schedule.mac_units)
         assert schedule.runtime_s == pytest.approx(expected)
+
+
+def _random_case(rng):
+    """(profiles, tech, deadline): 1-12 layers, deadlines 1 us - 10 ms."""
+    profiles = [LayerMacs(mac_seq=int(rng.integers(1, 40_001)),
+                          mac_ops=int(rng.integers(1, 70_001)))
+                for _ in range(int(rng.integers(1, 13)))]
+    tech = (TECH_45NM, TECH_12NM)[int(rng.integers(2))]
+    return profiles, tech, float(10 ** rng.uniform(-6, -2))
+
+
+def _float_time(profiles, units, tech):
+    """Eq. 11 runtime as first written: a float ceil per layer."""
+    return sum(p.mac_seq * tech.t_mac_s * math.ceil(p.mac_ops / units)
+               for p in profiles)
+
+
+def test_integer_scheduler_matches_float_formula():
+    """The integer-ceiling schedulers reproduce the float formulas bit
+    for bit on seeded random profiles, feasible or not."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        profiles, tech, deadline = _random_case(rng)
+        max_units = max(p.mac_ops for p in profiles)
+        expected = None
+        if _float_time(profiles, max_units, tech) <= deadline:
+            lo, hi = 1, max_units
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if _float_time(profiles, mid, tech) <= deadline:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            expected = (lo, _float_time(profiles, lo, tech).hex())
+        schedule = schedule_non_pipelined(profiles, deadline, tech)
+        got = (None if schedule is None
+               else (schedule.mac_units, schedule.runtime_s.hex()))
+        assert got == expected
+
+        piped = schedule_pipelined(profiles, deadline, tech)
+        allocation, worst = [], 0.0
+        for p in profiles:
+            budget = math.floor(deadline / (p.mac_seq * tech.t_mac_s))
+            if budget < 1:
+                allocation = None
+                break
+            allocation.append(math.ceil(p.mac_ops / budget))
+            worst = max(worst, p.mac_seq * tech.t_mac_s
+                        * math.ceil(p.mac_ops / allocation[-1]))
+        if allocation is None:
+            assert piped is None
+        else:
+            assert piped.per_layer_units == tuple(allocation)
+            assert piped.runtime_s.hex() == worst.hex()
+
+
+def test_mac_units_lower_bound_never_exceeds_a_schedule():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        profiles, tech, deadline = _random_case(rng)
+        bound = mac_units_lower_bound(profiles, deadline, tech)
+        for schedule in (schedule_non_pipelined(profiles, deadline, tech),
+                         schedule_pipelined(profiles, deadline, tech)):
+            if schedule is not None:
+                assert bound <= schedule.mac_units
+
+
+def test_mac_units_lower_bound_stays_below_an_exact_fit():
+    # 1000 MACops of depth 100 at 2 ns in 20 us need exactly 10 units;
+    # the rounding margin keeps the floor one below.
+    profiles = [LayerMacs(mac_seq=100, mac_ops=1000)]
+    assert mac_units_lower_bound(profiles, 20e-6, TECH_45NM) == 9
+    assert schedule_non_pipelined(profiles, 20e-6, TECH_45NM).mac_units == 10

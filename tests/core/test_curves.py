@@ -3,6 +3,8 @@ must match their scalar reference evaluators point for point."""
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,11 @@ from repro.core.explorer import (
     _compressed_stream_ratio,
     _max_channels_compressed,
 )
-from repro.core.frontier import first_run_frontier, grid_frontier
+from repro.core.frontier import (
+    first_run_frontier,
+    grid_frontier,
+    scan_first_run,
+)
 from repro.core.qam_design import evaluate_qam_design
 from repro.link.budget import LinkBudget
 
@@ -81,11 +87,21 @@ def test_grid_frontier_edge_cases():
         grid_frontier(lambda n: np.asarray(n, dtype=float), 0)
 
 
+def _probe(flags, probed, n):
+    probed.append(n)
+    return flags[n]
+
+
 def test_first_run_frontier_matches_scan_semantics():
-    grid = np.array([10, 20, 30, 40, 50])
-    assert first_run_frontier(grid, [False, True, True, False, True]) == 30
-    assert first_run_frontier(grid, [True] * 5) == 50
-    assert first_run_frontier(grid, [False] * 5) == 0
+    grid = [10, 20, 30, 40, 50]
+    for fits, end, probes in (([False, True, True, False, True], 30, 4),
+                              ([True] * 5, 50, 5), ([False] * 5, 0, 5)):
+        assert first_run_frontier(np.array(grid), fits) == end
+        # The lazy scan stops at the first failure after the run.
+        probed = []
+        flags = dict(zip(grid, fits))
+        assert scan_first_run(partial(_probe, flags, probed), grid) == end
+        assert probed == grid[:probes]
 
 
 def test_max_channels_event_stream_is_exact_frontier(bisc):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.accel.tech import TECH_12NM, TECH_45NM
+from repro.accel.tech import TECH_12NM
 from repro.core.comp_centric import Workload
 from repro.core.optimizations import (
     LADDER,
@@ -150,3 +150,57 @@ class TestLadderAtScale:
             OptimizationConfig(layer_reduction=True, tech=TECH_12NM,
                                density_factor=2.0))
         assert step.model_size_fraction <= 0.02
+
+
+def _design_fits_reference(soc, workload, n_channels, active, config):
+    """The ladder's feasibility test as first written: build the
+    n'-channel network and its heads, search every schedule, keep the
+    cheapest."""
+    import math
+
+    from repro.accel.schedule import best_schedule
+    from repro.core.comp_centric import build_workload
+    from repro.core.partitioning import admissible_splits
+    from repro.units import SAFE_POWER_DENSITY
+
+    deadline = 1.0 / soc.sampling_hz
+
+    def power(net, transmitted):
+        schedule = best_schedule(net.mac_profiles(), deadline, config.tech)
+        if schedule is None:
+            return math.inf
+        return schedule.power_w(config.tech) + (
+            transmitted * soc.sample_bits * soc.sampling_hz
+            * soc.implied_energy_per_bit_j)
+
+    net = build_workload(workload, active)
+    non_sensing = power(net, net.output_values)
+    if config.layer_reduction:
+        sizes = net.compute_layer_output_values()
+        for split in admissible_splits(net):
+            non_sensing = min(non_sensing,
+                              power(net.head(split), sizes[split - 1]))
+    area = densified_sensing_area_m2(soc, n_channels, config.density_factor)
+    budget = (area + soc.non_sensing_area_m2) * SAFE_POWER_DENSITY
+    return soc.sensing_power_w(n_channels) + non_sensing <= budget
+
+
+@pytest.mark.parametrize("workload", list(Workload))
+def test_design_fits_matches_network_reference(wireless_scaled, workload):
+    """Closed-form candidates plus the power-floor pruning give the same
+    verdict as building every network, on both sides of each frontier."""
+    from repro.core.optimizations import _design_fits
+    checked = 0
+    for soc in wireless_scaled:
+        for n in (2048, 4096):
+            for _, config in LADDER:
+                found = max_active_channels(soc, workload, n, config)
+                probes = {16, 17, 64, 500, 1024, n - 1, n,
+                          max(16, found), min(n, found + 1)}
+                for active in sorted(probes):
+                    assert (_design_fits(soc, workload, n, active, config)
+                            == _design_fits_reference(soc, workload, n,
+                                                      active, config)), (
+                        soc.name, n, config, active)
+                    checked += 1
+    assert checked > 200

@@ -92,3 +92,27 @@ class TestHeadlineMultipliers:
             max_channels_at_efficiency(bisc, 0.0)
         with pytest.raises(ValueError):
             max_channels_at_efficiency(bisc, 1.5)
+
+
+def test_block_scan_matches_scalar_scan(wireless_scaled):
+    """The curve matches the scalar model point for point, starved
+    points included, and the block-by-block frontier matches the
+    historical scalar scan."""
+    import numpy as np
+
+    from repro.core.qam_design import min_efficiency_curve
+    grid = np.arange(1024, 32768 + 1, 64, dtype=np.int64)
+    for soc in wireless_scaled:
+        scalar = [evaluate_qam_design(soc, int(n)).min_efficiency
+                  for n in grid]
+        np.testing.assert_array_equal(min_efficiency_curve(soc, grid),
+                                      scalar)
+        for efficiency in (0.05, 0.2, 0.5, 1.0):
+            best = 0
+            for n, needed in zip(grid.tolist(), scalar):
+                if needed <= efficiency:
+                    best = n
+                elif best:
+                    break
+            assert max_channels_at_efficiency(soc, efficiency) == best, (
+                soc.name, efficiency)

@@ -98,6 +98,39 @@ class TestRequiredEbn0:
             required_ebn0(1e-6, scheme="fsk")
 
 
+def _doubling_ebn0(target_ber, bits_per_symbol, scheme):
+    """The bracket search as first written: double ``hi`` from 1e-6
+    until the curve reaches the target, giving up past 1e12."""
+    from scipy.optimize import brentq
+    curve = {"qam": lambda x: ber_mqam(x, bits_per_symbol),
+             "bpsk": ber_bpsk, "ook": ber_ook}[scheme]
+    lo, hi = 1e-6, 1e-6
+    while curve(hi) > target_ber:
+        hi *= 2.0
+        if hi > 1e12:
+            raise ValueError("failed to bracket required Eb/N0")
+    return brentq(lambda x: curve(x) - target_ber, lo, hi, xtol=1e-9,
+                  rtol=1e-12)
+
+
+@pytest.mark.parametrize("target", [1e-3, 1e-6, 1e-9])
+def test_bisected_bracket_matches_doubling_scan(target):
+    """Bisecting over the doubling exponent finds the same bracket, so
+    every root is bit-identical and the same orders fail to bracket."""
+    cases = [(b, "qam") for b in range(1, 49)] + [(1, "bpsk"), (1, "ook")]
+    failed = []
+    for bits, scheme in cases:
+        try:
+            expected = _doubling_ebn0(target, bits, scheme)
+        except ValueError:
+            failed.append(bits)
+            with pytest.raises(ValueError, match="bracket"):
+                required_ebn0(target, bits, scheme)
+            continue
+        assert required_ebn0(target, bits, scheme).hex() == expected.hex()
+    assert failed and min(failed) > 40  # b = 1..40 all bracket
+
+
 class TestShannonLimit:
     def test_low_efficiency_approaches_minus_1_59_db(self):
         assert shannon_ebn0_limit_db(0.001) == pytest.approx(-1.59, abs=0.01)
